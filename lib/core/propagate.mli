@@ -20,6 +20,22 @@
     With [lazy_writes], modifications are queued per page and the page is
     protected; the runtime's access paths apply them on first touch. *)
 
+val admits : upper:Rfdet_util.Vclock.t -> lower:Rfdet_util.Vclock.t -> Slice.t -> bool
+(** The filter pair above, in O(1): with [i = s.tid] and [e = s.epoch],
+    [lower.(i) < e && e <= upper.(i)].  Equal to
+    [Vclock.lt s.time upper && not (Vclock.lt s.time lower)] for every
+    slice of a remote list at an acquire, because every slice close is
+    followed by a tick of the closer's own component and a clock's
+    component [i] reaches [e] only by joining a clock thread [i]
+    produced at or after closing the slice (DESIGN.md §8).  [Dlrc_model]
+    and [Rfdet_check.Oracle] keep the full comparisons as the
+    independent reference. *)
+
+val runs_by_page : Rfdet_mem.Diff.t -> (int * Rfdet_mem.Diff.run list) list
+(** A modification list grouped by page: (page id, runs) pairs, page id
+    ascending, each page's runs in list order.  Linear in the list for
+    the shape slices have (each page's runs contiguous). *)
+
 val run :
   ?drop:bool ->
   ?obs:Rfdet_obs.Sink.t ->

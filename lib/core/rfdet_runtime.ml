@@ -10,8 +10,10 @@ module Diff = Rfdet_mem.Diff
 module Vclock = Rfdet_util.Vclock
 
 (* The vector-clock width.  Thread ids index clock components, so this
-   bounds the number of threads a single run may create.  Kept modest:
-   clock joins are O(width) and happen at every synchronization. *)
+   bounds the number of threads a single run may create.  A
+   synchronization copies and joins whole clocks (O(width)), but the
+   Figure-5 filter reads one component per scanned slice
+   ([Propagate.admits]), so the scan does not grow with the width. *)
 let max_threads = 64
 
 type t = {

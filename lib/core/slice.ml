@@ -3,6 +3,7 @@ type t = {
   tid : int;
   mutable mods : Rfdet_mem.Diff.t;
   time : Rfdet_util.Vclock.t;
+  epoch : int;
   bytes : int;
   mutable freed : bool;
   mutable checksum : int;
@@ -33,7 +34,9 @@ let mix_string h s =
 
 let compute_checksum ~tid ~mods ~time =
   let h = ref (mix 0x27d4eb2f tid) in
-  List.iter (fun c -> h := mix !h c) (Rfdet_util.Vclock.to_list time);
+  for i = 0 to Rfdet_util.Vclock.size ~c:time - 1 do
+    h := mix !h (Rfdet_util.Vclock.get time i)
+  done;
   List.iter
     (fun (r : Rfdet_mem.Diff.run) ->
       h := mix !h r.addr;
@@ -53,6 +56,7 @@ let make ~id ~tid ~mods ~time =
     tid;
     mods;
     time;
+    epoch = Rfdet_util.Vclock.get time tid;
     bytes = Rfdet_mem.Diff.byte_count mods;
     freed = false;
     checksum = compute_checksum ~tid ~mods ~time;

@@ -13,6 +13,11 @@ type t = {
   tid : int;
   mutable mods : Rfdet_mem.Diff.t;  (** cleared when the GC frees the slice *)
   time : Rfdet_util.Vclock.t;
+  epoch : int;
+      (** [Vclock.get time tid]: the publisher's own component, unique
+          among its slices because every close is followed by a tick.
+          [Propagate] decides the Figure-5 filters on this one word
+          (DESIGN.md §8) *)
   bytes : int;  (** cached [Diff.byte_count mods] *)
   mutable freed : bool;  (** reclaimed by the metadata GC *)
   mutable checksum : int;

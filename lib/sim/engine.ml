@@ -1,6 +1,7 @@
 module Allocator = Rfdet_mem.Allocator
 module Det_rng = Rfdet_util.Det_rng
 module Pqueue = Rfdet_util.Pqueue
+module Vec = Rfdet_util.Vec
 
 type failure_mode = Abort | Contain | Recover
 
@@ -115,8 +116,7 @@ type result = {
 
 type t = {
   config : config;
-  threads : (int, thread) Hashtbl.t;
-  mutable next_tid : int;
+  threads : thread Vec.t;  (* indexed by tid: tids are dense from 0 *)
   queue : (int * int * int) Pqueue.t;  (* clock, tid, generation *)
   alloc : Allocator.t;
   prof : Profile.t;
@@ -163,9 +163,8 @@ let cmp_entry (c1, t1, _) (c2, t2, _) =
   if c1 <> c2 then compare c1 c2 else compare t1 t2
 
 let find t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some th -> th
-  | None -> invalid_arg (Printf.sprintf "Engine: unknown tid %d" tid)
+  if tid >= 0 && tid < Vec.length t.threads then Vec.get t.threads tid
+  else invalid_arg (Printf.sprintf "Engine: unknown tid %d" tid)
 
 let clock t tid = (find t tid).clock
 
@@ -196,8 +195,7 @@ let enqueue t th =
   Pqueue.push t.queue (th.clock, th.tid, th.generation)
 
 let register_thread t ~body ~start_at =
-  let tid = t.next_tid in
-  t.next_tid <- t.next_tid + 1;
+  let tid = Vec.length t.threads in
   let th =
     {
       tid;
@@ -209,7 +207,7 @@ let register_thread t ~body ~start_at =
       outputs = [];
     }
   in
-  Hashtbl.replace t.threads tid th;
+  Vec.push t.threads th;
   t.unfinished <- t.unfinished + 1;
   if t.unfinished > t.peak_live then t.peak_live <- t.unfinished;
   enqueue t th;
@@ -239,18 +237,17 @@ let is_finished t tid = (find t tid).status = Finished
 
 let is_crashed t tid = (find t tid).status = Crashed
 
-let thread_count t = t.next_tid
+let thread_count t = Vec.length t.threads
 
 let peak_live_threads t = t.peak_live
 
 let live_tids t =
-  Hashtbl.fold
-    (fun tid th acc ->
+  List.filter_map
+    (fun th ->
       match th.status with
-      | Finished | Crashed -> acc
-      | Ready | Running | Blocked -> tid :: acc)
-    t.threads []
-  |> List.sort compare
+      | Finished | Crashed -> None
+      | Ready | Running | Blocked -> Some th.tid)
+    (Vec.to_list t.threads)
 
 let profile t = t.prof
 
@@ -637,10 +634,9 @@ let stalled t =
       (Deadlock (Printf.sprintf "no runnable thread: %s" (describe_blocked t)))
 
 let ready_tids t =
-  Hashtbl.fold
-    (fun tid th acc -> if th.status = Ready then tid :: acc else acc)
-    t.threads []
-  |> List.sort compare
+  List.filter_map
+    (fun th -> if th.status = Ready then Some th.tid else None)
+    (Vec.to_list t.threads)
 
 (* Surface one clock-order scheduling step to [config.sched_tap], but only
    when it is a *decision point* — the schedule could have run a different
@@ -704,12 +700,9 @@ let rec schedule_chosen t choose =
     schedule_chosen t choose
 
 let collect_outputs t =
-  let tids = List.init t.next_tid (fun i -> i) in
   List.concat_map
-    (fun tid ->
-      let th = find t tid in
-      List.rev_map (fun v -> (tid, v)) th.outputs)
-    tids
+    (fun th -> List.rev_map (fun v -> (th.tid, v)) th.outputs)
+    (Vec.to_list t.threads)
 
 let run ?(config = default_config) make_policy ~main =
   (if config.choose <> None && config.sched_tap <> None then
@@ -719,8 +712,7 @@ let run ?(config = default_config) make_policy ~main =
   let t =
     {
       config;
-      threads = Hashtbl.create 16;
-      next_tid = 0;
+      threads = Vec.create ();
       queue = Pqueue.create ~cmp:cmp_entry;
       alloc = Allocator.create ();
       prof = Profile.create ();
@@ -748,7 +740,7 @@ let run ?(config = default_config) make_policy ~main =
   | Some choose -> schedule_chosen t choose);
   (policy_exn t).on_finish ();
   let sim_time =
-    Hashtbl.fold (fun _ th acc -> max acc th.clock) t.threads 0
+    List.fold_left (fun acc th -> max acc th.clock) 0 (Vec.to_list t.threads)
   in
   let trace =
     if Array.length t.trace_ring = 0 then []
@@ -760,7 +752,7 @@ let run ?(config = default_config) make_policy ~main =
     end
   in
   let thread_clocks =
-    List.init t.next_tid (fun tid -> (tid, (find t tid).clock))
+    List.map (fun th -> (th.tid, th.clock)) (Vec.to_list t.threads)
   in
   (* A saturated trace ring silently truncates offline analysis — record
      how much was lost so `rfdet trace`/`rfdet spans` can warn loudly.
@@ -771,7 +763,7 @@ let run ?(config = default_config) make_policy ~main =
     sim_time;
     outputs = collect_outputs t;
     profile = t.prof;
-    threads = t.next_tid;
+    threads = Vec.length t.threads;
     ops = t.ops;
     trace;
     crashes = List.sort compare t.crashes;

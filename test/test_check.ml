@@ -6,6 +6,9 @@ module Explore = Rfdet_check.Explore
 module Shrink = Rfdet_check.Shrink
 module Trace = Rfdet_check.Trace
 module Differential = Rfdet_check.Differential
+module Oracle = Rfdet_check.Oracle
+module Engine = Rfdet_sim.Engine
+module Rt = Rfdet_core.Rfdet_runtime
 module Options = Rfdet_core.Options
 module Registry = Rfdet_workloads.Registry
 module Workload = Rfdet_workloads.Workload
@@ -229,6 +232,40 @@ let test_differential_racy_stable () =
   Alcotest.(check bool) "racey ok" true r.Differential.ok;
   Alcotest.(check (list string)) "all runtimes stable" [] r.Differential.unstable
 
+(* --- the oracle at wide thread counts ----------------------------------
+
+   The explorer reaches 2-3 threads; the epoch form of the Figure-5
+   filter matters most where many threads publish into one list.  One
+   oracle-wrapped run per (workload, threads, runtime) must raise no
+   [Divergence] and print the signature of the same run unwrapped.  The
+   oracle rescans every live slice against every thread after each
+   synchronization step, so inputs are scaled down to keep this near
+   10 s; fft's synchronization structure (400 slices at 16 threads) does
+   not depend on the scale. *)
+
+let test_oracle_at_scale () =
+  List.iter
+    (fun (name, threads, scale) ->
+      let wl = Registry.find name in
+      let cfg = { Workload.default_cfg with Workload.threads; scale } in
+      List.iter
+        (fun opts ->
+          let label = Printf.sprintf "%s t%d %s" name threads (Options.name opts) in
+          let run make = Engine.run make ~main:(wl.Workload.main cfg) in
+          let plain = run (Rt.make ~opts) in
+          match run (Oracle.wrap ~opts) with
+          | wrapped ->
+            Alcotest.(check string)
+              (label ^ ": signature unchanged by the oracle")
+              (Engine.output_signature plain)
+              (Engine.output_signature wrapped)
+          | exception
+              (Oracle.Divergence m | Engine.Thread_failure (_, Oracle.Divergence m))
+            ->
+            Alcotest.fail (label ^ ": " ^ m))
+        [ Options.ci; Options.pf ])
+    [ ("fft", 16, 0.25); ("prodcons", 16, 0.5); ("ocean", 8, 0.15) ]
+
 let suites =
   [
     ( "check",
@@ -253,5 +290,6 @@ let suites =
           test_differential_race_free;
         Alcotest.test_case "differential: racy but stable" `Quick
           test_differential_racy_stable;
+        Alcotest.test_case "oracle at 8-16 threads" `Quick test_oracle_at_scale;
       ] );
   ]

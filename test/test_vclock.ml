@@ -141,6 +141,199 @@ let prop_filter_never_twice =
         not (passes ~upper:next_upper ~lower:lower' s)
       else true)
 
+(* --- the epoch form of the filter pair ---------------------------------
+
+   [Propagate.admits] decides the pair above on one word, the slice's
+   epoch (its publisher's own component).  That is exact only under the
+   runtime's clock discipline: every slice close is followed by a tick
+   of the closer's component, and a clock reaches component [i] = [e]
+   only by joining a clock thread [i] produced at or after closing its
+   epoch-[e] slice.  These histories follow that discipline over 2-64
+   threads — release (close, stamp, tick), acquire with and without
+   slice merging, fork, join, barrier (leader merge plus follower
+   join), exit and crash — and compare both forms at every acquire for
+   every slice closed so far.  The acquirer's own slice closed by the
+   acquire itself is left out: it equals [lower], never sits in a remote
+   list, and is the one slice the two forms disagree on. *)
+
+module Slice = Rfdet_core.Slice
+module Propagate = Rfdet_core.Propagate
+
+let width = 64 (* Rfdet_runtime.max_threads *)
+
+type hist = {
+  clocks : Vclock.t option array;  (* Some = live *)
+  finals : Vclock.t option array;  (* exit stamps *)
+  mutable slices : Slice.t list;
+  releases : (int, int * Vclock.t) Hashtbl.t;  (* obj -> releaser, stamp *)
+  mutable checked : int;
+  mutable admitted : int;
+}
+
+exception Epoch_mismatch of string
+
+let close h tid ~dirty =
+  match h.clocks.(tid) with
+  | Some time when dirty ->
+    let s =
+      Slice.make ~id:(List.length h.slices) ~tid ~mods:Rfdet_mem.Diff.empty
+        ~time:(Vclock.copy time)
+    in
+    h.slices <- s :: h.slices;
+    Some s
+  | Some _ | None -> None
+
+let compare_filters h ~into ~own ~upper ~lower =
+  List.iter
+    (fun (s : Slice.t) ->
+      if not (match own with Some o -> o == s | None -> false) then begin
+        let full = Vclock.lt s.time upper && not (Vclock.lt s.time lower) in
+        let epoch = Propagate.admits ~upper ~lower s in
+        h.checked <- h.checked + 1;
+        if full then h.admitted <- h.admitted + 1;
+        if full <> epoch then
+          raise
+            (Epoch_mismatch
+               (Format.asprintf
+                  "slice %d (tid %d, epoch %d) into tid %d: full %b, epoch %b \
+                   (upper %a, lower %a)"
+                  s.id s.tid s.epoch into full epoch Vclock.pp upper Vclock.pp
+                  lower))
+      end)
+    h.slices
+
+(* close, snapshot the lower limit, tick, join [incoming], compare *)
+let acquire_from h tid ~dirty ~incoming =
+  let time = Option.get h.clocks.(tid) in
+  let own = close h tid ~dirty in
+  let lower = Vclock.copy time in
+  ignore (Vclock.tick time tid);
+  Vclock.join time incoming;
+  compare_filters h ~into:tid ~own ~upper:(Vclock.copy time) ~lower
+
+let live h =
+  List.filter (fun i -> Option.is_some h.clocks.(i)) (List.init width Fun.id)
+
+let pick l k = List.nth l (k mod List.length l)
+
+let step h ~nthreads (kind, a, b) =
+  let alive = live h in
+  let tid = pick alive a in
+  let time = Option.get h.clocks.(tid) in
+  let dirty = b land 1 = 0 in
+  let obj = (b lsr 1) mod 4 in
+  match kind with
+  | 0 | 1 ->
+    ignore (close h tid ~dirty);
+    let stamp = Vclock.copy time in
+    ignore (Vclock.tick time tid);
+    Hashtbl.replace h.releases obj (tid, stamp)
+  | 2 | 3 -> (
+    match Hashtbl.find_opt h.releases obj with
+    | Some (last, _) when last = tid && b land 8 = 0 ->
+      () (* slice merging: the slice stays open, nothing ticks *)
+    | Some (_, stamp) -> acquire_from h tid ~dirty ~incoming:stamp
+    | None ->
+      ignore (close h tid ~dirty);
+      ignore (Vclock.tick time tid))
+  | 4 -> (
+    match
+      List.find_opt
+        (fun i -> Option.is_none h.clocks.(i) && Option.is_none h.finals.(i))
+        (List.init nthreads Fun.id)
+    with
+    | None -> ()
+    | Some child ->
+      ignore (close h tid ~dirty);
+      let stamp = Vclock.copy time in
+      ignore (Vclock.tick time tid);
+      let c = Vclock.copy stamp in
+      ignore (Vclock.tick c child);
+      h.clocks.(child) <- Some c)
+  | 5 -> (
+    let exited =
+      List.filter (fun i -> Option.is_some h.finals.(i)) (List.init width Fun.id)
+    in
+    match exited with
+    | [] -> ()
+    | _ ->
+      let target = pick exited b in
+      acquire_from h tid ~dirty ~incoming:(Option.get h.finals.(target)))
+  | 6 when List.length alive >= 2 ->
+    let parties =
+      match List.filteri (fun i _ -> (b lsr i) land 1 = 1) alive with
+      | _ :: _ :: _ as l -> l
+      | _ -> alive
+    in
+    let owns = List.map (fun p -> (p, close h p ~dirty)) parties in
+    let joint = Vclock.create width in
+    List.iter (fun p -> Vclock.join joint (Option.get h.clocks.(p))) parties;
+    let leader = List.hd parties in
+    let ltime = Option.get h.clocks.(leader) in
+    let lower = Vclock.copy ltime in
+    Vclock.join ltime joint;
+    ignore (Vclock.tick ltime leader);
+    compare_filters h ~into:leader ~own:(List.assoc leader owns)
+      ~upper:(Vclock.copy ltime) ~lower;
+    List.iter
+      (fun p ->
+        if p <> leader then begin
+          let t = Option.get h.clocks.(p) in
+          Vclock.join t joint;
+          ignore (Vclock.tick t p)
+        end)
+      parties
+  | 7 when tid <> 0 ->
+    (* exit closes its slice; a crash drops it unclosed *)
+    if b land 2 = 0 then ignore (close h tid ~dirty);
+    h.finals.(tid) <- Some (Vclock.copy time);
+    ignore (Vclock.tick time tid);
+    h.clocks.(tid) <- None
+  | _ -> ()
+
+let run_history (nthreads, events) =
+  let h =
+    {
+      clocks =
+        Array.init width (fun i ->
+            if i = 0 then Some (Vclock.create width) else None);
+      finals = Array.make width None;
+      slices = [];
+      releases = Hashtbl.create 4;
+      checked = 0;
+      admitted = 0;
+    }
+  in
+  List.iter (step h ~nthreads) events;
+  h
+
+let gen_history =
+  QCheck2.Gen.(
+    pair (int_range 2 64)
+      (list_size (int_range 1 250)
+         (triple (int_bound 7) (int_bound 63) (int_bound 1023))))
+
+let prop_epoch_filter_exact =
+  QCheck2.Test.make
+    ~name:"figure5: epoch filter == full-clock filter on runtime histories"
+    ~count:300 gen_history (fun hist ->
+      match run_history hist with
+      | _ -> true
+      | exception Epoch_mismatch m -> QCheck2.Test.fail_report m)
+
+let test_epoch_histories_nontrivial () =
+  (* the property above must see both verdicts, or it proves nothing *)
+  let rand = Random.State.make [| 12 |] in
+  let totals =
+    List.map run_history (QCheck2.Gen.generate ~rand ~n:40 gen_history)
+  in
+  let sum f = List.fold_left (fun acc h -> acc + f h) 0 totals in
+  let checked = sum (fun h -> h.checked) and admitted = sum (fun h -> h.admitted) in
+  Alcotest.(check bool)
+    (Printf.sprintf "admitted %d of %d" admitted checked)
+    true
+    (admitted > 0 && admitted < checked)
+
 let suites =
   [
     ( "vclock",
@@ -162,5 +355,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_filter_lower_monotone;
         QCheck_alcotest.to_alcotest prop_filter_transitive;
         QCheck_alcotest.to_alcotest prop_filter_never_twice;
+        QCheck_alcotest.to_alcotest prop_epoch_filter_exact;
+        Alcotest.test_case "epoch histories admit and reject" `Quick
+          test_epoch_histories_nontrivial;
       ] );
   ]
