@@ -47,14 +47,16 @@ let check rt =
       states := (tid, ts, check_state ~tid ts) :: !states);
   (* Completeness: every live slice ordered strictly before a thread's
      vector time must already be in that thread's list — whatever path
-     (locks, barriers, joins, resume indices) should have carried it. *)
+     (locks, barriers, joins, resume indices) should have carried it.
+     Membership is tested first: a listed slice satisfies "must" whatever
+     its clock, and the must-not pass has just compared it. *)
   Metadata.iter_slices (Rt.metadata rt) ~f:(fun (s : Slice.t) ->
       if not s.Slice.freed then
         List.iter
           (fun (tid, (ts : Tstate.t), ids) ->
             if
-              Vclock.lt s.Slice.time ts.Tstate.time
-              && not (Hashtbl.mem ids s.Slice.id)
+              (not (Hashtbl.mem ids s.Slice.id))
+              && Vclock.lt s.Slice.time ts.Tstate.time
             then
               fail
                 "oracle: must violated — slice %d (tid %d, time %s) \

@@ -187,11 +187,16 @@ let deque_state t dq =
    of the thread's own progress — never of physical timing. *)
 let stamp_of t tid = (Engine.icount t.engine tid, tid)
 
+(* Lexicographic stamp order, typed at [int] so it compiles to integer
+   compares rather than the polymorphic tuple compare. *)
+let stamp_compare ((c1 : int), (t1 : int)) ((c2 : int), (t2 : int)) =
+  if c1 <> c2 then Int.compare c1 c2 else Int.compare t1 t2
+
 let insert_sorted ~stamp_of_elt e l =
   let k = stamp_of_elt e in
   let rec go = function
     | [] -> [ e ]
-    | x :: _ as rest when stamp_of_elt x > k -> e :: rest
+    | x :: _ as rest when stamp_compare (stamp_of_elt x) k > 0 -> e :: rest
     | x :: rest -> x :: go rest
   in
   go l
@@ -818,7 +823,10 @@ let deque_steal t ~tid ~own =
               | [] -> acc
               | (_, stamp) :: _ -> (
                 match acc with
-                | Some (bstamp, bh, _) when (bstamp, bh) <= (stamp, h) -> acc
+                | Some (bstamp, bh, _)
+                  when let c = stamp_compare bstamp stamp in
+                       c < 0 || (c = 0 && bh <= h) ->
+                  acc
                 | _ -> Some (stamp, h, st)))
           t.deques None
       in
@@ -1278,8 +1286,11 @@ let deadlock_victim t =
   match !cyc with
   | [] -> None
   | hd :: tl ->
-    let key tid = (Engine.icount t.engine tid, tid) in
-    Some (List.fold_left (fun b x -> if key x < key b then x else b) hd tl)
+    let key tid = stamp_of t tid in
+    Some
+      (List.fold_left
+         (fun b x -> if stamp_compare (key x) (key b) < 0 then x else b)
+         hd tl)
 
 let poll t = Arbiter.poll t.arb
 

@@ -159,8 +159,16 @@ let is_boundary (op : Op.t) =
      | Sem_create _ | Deque_create -> true
      | _ -> false
 
-let cmp_entry (c1, t1, _) (c2, t2, _) =
-  if c1 <> c2 then compare c1 c2 else compare t1 t2
+(* Typed at [int] so every [Pqueue] sift step compares integers rather
+   than calling the polymorphic compare primitives. *)
+let cmp_entry ((c1 : int), (t1 : int), (_ : int))
+    ((c2 : int), (t2 : int), (_ : int)) =
+  if c1 <> c2 then Int.compare c1 c2 else Int.compare t1 t2
+
+(* Crash records by tid, then message: [output_signature] folds them in
+   this order. *)
+let cmp_crash ((t1 : int), m1) ((t2 : int), m2) =
+  if t1 <> t2 then Int.compare t1 t2 else String.compare m1 m2
 
 let find t tid =
   if tid >= 0 && tid < Vec.length t.threads then Vec.get t.threads tid
@@ -766,7 +774,7 @@ let run ?(config = default_config) make_policy ~main =
     threads = Vec.length t.threads;
     ops = t.ops;
     trace;
-    crashes = List.sort compare t.crashes;
+    crashes = List.sort cmp_crash t.crashes;
     thread_clocks;
   }
 

@@ -46,20 +46,18 @@ val joined : t -> t -> t
     component of [b] — i.e. [a] happens-before-or-equals [b]. *)
 val leq : t -> t -> bool
 
-(** [lt a b] is true iff [leq a b] and [a <> b]: strict happens-before. *)
+(** [lt a b] is true iff [leq a b] and [a <> b]: strict happens-before.
+    Decided in one pass; a size mismatch raises the same
+    [Invalid_argument "Vclock.leq: size mismatch"] as [leq]. *)
 val lt : t -> t -> bool
 
 (** [compare_partial a b] classifies the pair under the happens-before
     partial order. *)
 val compare_partial : t -> t -> order
 
-(** [equal a b] is component-wise equality. *)
+(** [equal a b] is component-wise equality; clocks of different sizes
+    are unequal. *)
 val equal : t -> t -> bool
-
-(** [compare_total a b] is an arbitrary but deterministic total order
-    (lexicographic) extending nothing in particular; used only for sorted
-    containers. *)
-val compare_total : t -> t -> int
 
 (** [min_into dst src] sets [dst := dst ⊓ src] (component-wise min).
     Used by the garbage collector to compute the global frontier: a slice

@@ -12,6 +12,12 @@ module Rt = Rfdet_core.Rfdet_runtime
 module Options = Rfdet_core.Options
 module Registry = Rfdet_workloads.Registry
 module Workload = Rfdet_workloads.Workload
+module Tstate = Rfdet_core.Tstate
+module Slice = Rfdet_core.Slice
+module Metadata = Rfdet_core.Metadata
+module Vclock = Rfdet_util.Vclock
+module Vec = Rfdet_util.Vec
+module Diff = Rfdet_mem.Diff
 
 let micro name = Registry.find name
 
@@ -156,6 +162,68 @@ let test_lost_signal_shrinks_and_replays () =
       Alcotest.(check (option string))
         "clean under the correct runtime" None good.Explore.r_error)
 
+(* --- one negative control per oracle condition ---------------------------
+
+   The seeded bugs above show that the oracle fires; these pin down
+   which of its three conditions fires.  Each control takes the final
+   state of a fresh, clean oracle-wrapped micro-rwlock run, breaks exactly
+   one condition, and expects a [Divergence] that names it. *)
+
+let oracle_final_state () =
+  let rt = ref None in
+  let make engine =
+    let r, policy = Oracle.wrap_with_state ~opts:Options.ci engine in
+    rt := Some r;
+    policy
+  in
+  let wl = micro "micro-rwlock" in
+  ignore (Engine.run make ~main:(wl.Workload.main Workload.default_cfg));
+  Option.get !rt
+
+(* Main has joined every worker, so its list holds their slices. *)
+let main_state rt = Rt.state rt ~tid:0
+
+let fresh_slice rt ~tid ~time =
+  let md = Rt.metadata rt in
+  Slice.make ~id:(Metadata.fresh_slice_id md) ~tid ~mods:Diff.empty ~time
+
+let test_oracle_clean_final_state () =
+  let rt = oracle_final_state () in
+  Alcotest.(check bool)
+    "main's list is non-empty" true
+    (Vec.length (main_state rt).Tstate.slices > 0);
+  Oracle.check rt
+
+let oracle_control ~condition corrupt () =
+  let rt = oracle_final_state () in
+  corrupt rt;
+  match Oracle.check rt with
+  | () -> Alcotest.failf "corrupted state passed the oracle (%s)" condition
+  | exception Oracle.Divergence m ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names %S" m condition)
+      true
+      (Astring.String.is_infix ~affix:condition m)
+
+(* never twice: a slice already in the list, appended again *)
+let corrupt_twice rt =
+  let ts = main_state rt in
+  Tstate.append_slice ts (Vec.get ts.Tstate.slices 0)
+
+(* must-not: a slice stamped at the thread's own time with the thread's
+   component ticked, so it does not happen-before that time *)
+let corrupt_must_not rt =
+  let ts = main_state rt in
+  let time = Vclock.copy ts.Tstate.time in
+  ignore (Vclock.tick time ts.Tstate.tid);
+  Tstate.append_slice ts (fresh_slice rt ~tid:ts.Tstate.tid ~time)
+
+(* must: a live slice with the zero clock, which happens-before every
+   thread, held by no list *)
+let corrupt_must rt =
+  Metadata.add_slice (Rt.metadata rt)
+    (fresh_slice rt ~tid:0 ~time:(Vclock.create (Rt.clock_size rt)))
+
 (* --- sampling --------------------------------------------------------- *)
 
 let test_sampling_deterministic () =
@@ -238,10 +306,10 @@ let test_differential_racy_stable () =
    filter matters most where many threads publish into one list.  One
    oracle-wrapped run per (workload, threads, runtime) must raise no
    [Divergence] and print the signature of the same run unwrapped.  The
-   oracle rescans every live slice against every thread after each
-   synchronization step, so inputs are scaled down to keep this near
-   10 s; fft's synchronization structure (400 slices at 16 threads) does
-   not depend on the scale. *)
+   oracle rescans every list entry and every live slice against every
+   thread after each synchronization step, so its cost grows with the
+   square of the run's slice count.  All three workloads run at their
+   full inputs; ocean, with the most slices, takes most of the time. *)
 
 let test_oracle_at_scale () =
   List.iter
@@ -264,7 +332,7 @@ let test_oracle_at_scale () =
             ->
             Alcotest.fail (label ^ ": " ^ m))
         [ Options.ci; Options.pf ])
-    [ ("fft", 16, 0.25); ("prodcons", 16, 0.5); ("ocean", 8, 0.15) ]
+    [ ("fft", 16, 1.0); ("prodcons", 16, 1.0); ("ocean", 8, 1.0) ]
 
 let suites =
   [
@@ -291,5 +359,13 @@ let suites =
         Alcotest.test_case "differential: racy but stable" `Quick
           test_differential_racy_stable;
         Alcotest.test_case "oracle at 8-16 threads" `Quick test_oracle_at_scale;
+        Alcotest.test_case "oracle passes a clean final state" `Quick
+          test_oracle_clean_final_state;
+        Alcotest.test_case "oracle control: never twice" `Quick
+          (oracle_control ~condition:"appears twice" corrupt_twice);
+        Alcotest.test_case "oracle control: must-not" `Quick
+          (oracle_control ~condition:"must-not violated" corrupt_must_not);
+        Alcotest.test_case "oracle control: must" `Quick
+          (oracle_control ~condition:"must violated" corrupt_must);
       ] );
   ]

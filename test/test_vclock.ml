@@ -24,9 +24,21 @@ let test_min_into () =
   Alcotest.(check (list int)) "glb" [ 3; 2; 7 ] (Vclock.to_list a)
 
 let test_size_mismatch () =
-  Alcotest.check_raises "join mismatch"
-    (Invalid_argument "Vclock.join: size mismatch") (fun () ->
-      Vclock.join (Vclock.create 2) (Vclock.create 3))
+  let a = Vclock.create 2 and b = Vclock.create 3 in
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "join" "Vclock.join: size mismatch" (fun () -> Vclock.join a b);
+  raises "min_into" "Vclock.min_into: size mismatch" (fun () ->
+      Vclock.min_into a b);
+  raises "leq" "Vclock.leq: size mismatch" (fun () -> Vclock.leq a b);
+  raises "lt" "Vclock.leq: size mismatch" (fun () -> Vclock.lt b a);
+  raises "compare_partial" "Vclock.leq: size mismatch" (fun () ->
+      Vclock.compare_partial a b);
+  Alcotest.(check bool) "equal" false (Vclock.equal a b);
+  Alcotest.(check bool)
+    "equal, zero-padded" false
+    (Vclock.equal (vc [ 1; 2 ]) (vc [ 1; 2; 0 ]))
 
 (* qcheck generators *)
 
@@ -88,6 +100,71 @@ let prop_lt_irreflexive_strict =
     (fun (a, b) ->
       (not (Vclock.lt a a))
       && Vclock.lt a b = (Vclock.leq a b && not (Vclock.equal a b)))
+
+(* --- against a list-based reference ---------------------------------
+
+   The laws above hold at widths 3-4.  This pins every comparison to
+   the plain definitions (with [lt] as [leq] and not structurally equal)
+   at every width up to the runtime's 64, where an off-by-one loop bound
+   would only show in the last component. *)
+
+module Ref = struct
+  let leq a b = List.for_all2 ( <= ) a b
+
+  let lt a b = leq a b && not (a = b)
+
+  let compare_partial a b : Vclock.order =
+    match leq a b, leq b a with
+    | true, true -> Equal
+    | true, false -> Less
+    | false, true -> Greater
+    | false, false -> Concurrent
+end
+
+(* Pairs of one width in 1-64 (64 boosted), components 0-8, where [b] is
+   [a] itself, [a] with some components raised, [a] with one component
+   changed (often the last), or independent — so every [order] and every
+   position of the first difference occurs. *)
+let gen_ref_pair =
+  let open QCheck2.Gen in
+  let* n = frequency [ (1, return 64); (3, int_range 1 64) ] in
+  let* a = list_size (return n) (int_bound 8) in
+  let* b =
+    oneof
+      [
+        return a;
+        map
+          (List.map2 (fun x up -> if up then min 8 (x + 1) else x) a)
+          (list_size (return n)
+             (frequency [ (1, return true); (5, return false) ]));
+        (let* i = oneof [ return (n - 1); return 0; int_bound (n - 1) ] in
+         let* v = int_bound 8 in
+         return (List.mapi (fun j x -> if j = i then v else x) a));
+        list_size (return n) (int_bound 8);
+      ]
+  in
+  oneof [ return (a, b); return (b, a) ]
+
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"vclock: widths 1-64 match the list reference"
+    ~count:1000
+    ~print:QCheck2.Print.(pair (list int) (list int))
+    gen_ref_pair
+    (fun (a, b) ->
+      let ca = Vclock.of_list a and cb = Vclock.of_list b in
+      let into f =
+        let d = Vclock.copy ca in
+        f d cb;
+        Vclock.to_list d
+      in
+      Vclock.leq ca cb = Ref.leq a b
+      && Vclock.lt ca cb = Ref.lt a b
+      && Vclock.equal ca cb = (a = b)
+      && Vclock.compare_partial ca cb = Ref.compare_partial a b
+      && into Vclock.join = List.map2 max a b
+      && into Vclock.min_into = List.map2 min a b
+      && Vclock.to_list ca = a
+      && Vclock.to_list cb = b)
 
 (* --- the Figure-5 propagation filters --------------------------------
 
@@ -358,5 +435,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_epoch_filter_exact;
         Alcotest.test_case "epoch histories admit and reject" `Quick
           test_epoch_histories_nontrivial;
+        QCheck_alcotest.to_alcotest prop_matches_reference;
       ] );
   ]
