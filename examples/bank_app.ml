@@ -92,7 +92,7 @@ let () =
   Printf.printf "4 tellers x %d transfers over %d accounts (total = %d):\n\n"
     transfers_per_teller accounts (accounts * initial_balance);
   check "pthreads" Rfdet_baselines.Pthreads_runtime.make;
-  check "dthreads" Rfdet_baselines.Dthreads_runtime.make;
+  check "dthreads" Rfdet_baselines.Fence_runtime.(make Dthreads);
   check "rfdet-ci"
     (Rfdet_core.Rfdet_runtime.make ~opts:Rfdet_core.Options.ci);
   print_endline

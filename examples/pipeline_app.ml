@@ -77,8 +77,8 @@ let () =
       ("pthreads", Rfdet_baselines.Pthreads_runtime.make);
       ("rfdet-ci",
        Rfdet_core.Rfdet_runtime.make ~opts:Rfdet_core.Options.ci);
-      ("dthreads", Rfdet_baselines.Dthreads_runtime.make);
-      ("coredet", Rfdet_baselines.Coredet_runtime.make ?quantum:None);
+      ("dthreads", Rfdet_baselines.Fence_runtime.(make Dthreads));
+      ("coredet", Rfdet_baselines.Fence_runtime.(make coredet));
     ];
   print_endline
     "\nQueue hand-offs are pure release/acquire pairs: RFDet propagates\n\

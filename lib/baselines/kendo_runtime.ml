@@ -26,42 +26,13 @@ let handle t ~tid (op : Op.t) : Engine.outcome =
     | Op.W8 -> Space.store_byte t.space addr value
     | Op.W64 -> Space.store_int t.space addr value);
     Done 0
-  | Op.Mutex_create -> Sync.mutex_create t.sync ~tid
-  | Op.Cond_create -> Sync.cond_create t.sync ~tid
-  | Op.Barrier_create parties -> Sync.barrier_create t.sync ~tid ~parties
-  | Op.Lock m -> Sync.lock t.sync ~tid ~mutex:m
-  | Op.Trylock m -> Sync.trylock t.sync ~tid ~mutex:m
-  | Op.Lock_timed { mutex; timeout } ->
-    Sync.lock_timed t.sync ~tid ~mutex ~timeout
-  | Op.Mutex_heal m -> Sync.heal t.sync ~tid ~handle:m
-  | Op.Unlock m -> Sync.unlock t.sync ~tid ~mutex:m
-  | Op.Cond_wait { cond; mutex } -> Sync.cond_wait t.sync ~tid ~cond ~mutex
-  | Op.Cond_signal c -> Sync.cond_signal t.sync ~tid ~cond:c
-  | Op.Cond_broadcast c -> Sync.cond_broadcast t.sync ~tid ~cond:c
-  | Op.Barrier_wait b -> Sync.barrier_wait t.sync ~tid ~barrier:b
   | Op.Atomic { addr; rmw } ->
     Sync.rmw t.sync ~tid ~action:(fun ~now:_ ->
         let current = Space.load_int t.space addr in
         let prev, next = Op.apply_rmw rmw ~current in
         Space.store_int t.space addr next;
         (prev, 0))
-  | Op.Spawn body -> Sync.spawn t.sync ~tid ~body
-  | Op.Join target -> Sync.join t.sync ~tid ~target
-  | Op.Rwlock_create -> Sync.rwlock_create t.sync ~tid
-  | Op.Rdlock rw -> Sync.rdlock t.sync ~tid ~rwlock:rw
-  | Op.Wrlock rw -> Sync.wrlock t.sync ~tid ~rwlock:rw
-  | Op.Rwunlock rw -> Sync.rwunlock t.sync ~tid ~rwlock:rw
-  | Op.Sem_create permits -> Sync.sem_create t.sync ~tid ~permits
-  | Op.Sem_acquire s -> Sync.sem_acquire t.sync ~tid ~sem:s
-  | Op.Sem_post s -> Sync.sem_post t.sync ~tid ~sem:s
-  | Op.Deque_create -> Sync.deque_create t.sync ~tid
-  | Op.Deque_push { deque; value } -> Sync.deque_push t.sync ~tid ~deque ~value
-  | Op.Deque_pop dq -> Sync.deque_pop t.sync ~tid ~deque:dq
-  | Op.Deque_steal own -> Sync.deque_steal t.sync ~tid ~own
-  | Op.Tick _ | Op.Output _ | Op.Self | Op.Yield | Op.Checkpoint _
-  | Op.Server_mark _ | Op.Span _ | Op.Malloc _
-  | Op.Free _ ->
-    assert false
+  | op -> Sync.handle t.sync ~tid op
 
 let on_finish t () =
   let prof = Engine.profile t.engine in

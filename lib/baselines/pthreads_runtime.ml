@@ -7,112 +7,15 @@ module Page = Rfdet_mem.Page
 
 let name = "pthreads"
 
-type mutex_state = { mutable owner : int option; queue : int Queue.t }
-
-type cond_state = { cond_waiters : (int * int) Queue.t }
-
-type barrier_state = { parties : int; mutable arrived : int list }
-
-type rw_state = {
-  mutable rw_writer : int option;
-  mutable rw_readers : int list;
-  rw_queue : (int * [ `Rd | `Wr ]) Queue.t;  (* FIFO arrival order *)
-}
-
-type sem_state = { mutable sem_permits : int; sem_queue : int Queue.t }
-
-type deque_state = {
-  dq_owner : int;
-  mutable dq_items : (int * int) list;  (* (value, push seq), oldest first *)
-}
-
 type t = {
   engine : Engine.t;
   space : Space.t;  (* one shared space: stores are visible immediately *)
-  mutexes : (int, mutex_state) Hashtbl.t;
-  conds : (int, cond_state) Hashtbl.t;
-  barriers : (int, barrier_state) Hashtbl.t;
-  rwlocks : (int, rw_state) Hashtbl.t;
-  sems : (int, sem_state) Hashtbl.t;
-  deques : (int, deque_state) Hashtbl.t;
+  prims : Fifo_sync.t;
   joiners : (int, int list) Hashtbl.t;
-  mutable next_handle : int;
-  mutable push_seq : int;  (* global push order, for oldest-first steals *)
 }
-
-let fresh_handle t =
-  let h = t.next_handle in
-  t.next_handle <- h + 1;
-  h
-
-let mutex_state t m =
-  match Hashtbl.find_opt t.mutexes m with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "pthreads: unknown mutex %d" m)
-
-let cond_state t c =
-  match Hashtbl.find_opt t.conds c with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "pthreads: unknown cond %d" c)
-
-let barrier_state t b =
-  match Hashtbl.find_opt t.barriers b with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "pthreads: unknown barrier %d" b)
-
-let rw_state t rw =
-  match Hashtbl.find_opt t.rwlocks rw with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "pthreads: unknown rwlock %d" rw)
-
-let sem_state t s =
-  match Hashtbl.find_opt t.sems s with
-  | Some st -> st
-  | None -> invalid_arg (Printf.sprintf "pthreads: unknown semaphore %d" s)
-
-let deque_state t dq =
-  match Hashtbl.find_opt t.deques dq with
-  | Some st -> st
-  | None -> invalid_arg (Printf.sprintf "pthreads: unknown deque %d" dq)
-
-(* Admit the FIFO queue head after a full release: a writer alone, or
-   the consecutive run of readers at the head as a group. *)
-let admit_rw t ~rw ~now =
-  let st = rw_state t rw in
-  if st.rw_writer = None && st.rw_readers = [] then
-    match Queue.peek_opt st.rw_queue with
-    | None -> ()
-    | Some (_, `Wr) ->
-      let w, _ = Queue.pop st.rw_queue in
-      st.rw_writer <- Some w;
-      Engine.wake t.engine ~tid:w ~value:0 ~not_before:now
-    | Some (_, `Rd) ->
-      let rec run () =
-        match Queue.peek_opt st.rw_queue with
-        | Some (r, `Rd) ->
-          ignore (Queue.pop st.rw_queue);
-          st.rw_readers <- r :: st.rw_readers;
-          Engine.wake t.engine ~tid:r ~value:0 ~not_before:now;
-          run ()
-        | _ -> ()
-      in
-      run ()
-
-let grant_mutex t ~tid ~mutex ~now =
-  let st = mutex_state t mutex in
-  assert (st.owner = None);
-  st.owner <- Some tid;
-  Engine.wake t.engine ~tid ~value:0 ~not_before:now
-
-let pass_mutex t ~mutex ~now =
-  let st = mutex_state t mutex in
-  match Queue.take_opt st.queue with
-  | None -> ()
-  | Some w -> grant_mutex t ~tid:w ~mutex ~now
 
 let handle t ~tid (op : Op.t) : Engine.outcome =
   let cost = Engine.cost t.engine in
-  let now () = Engine.clock t.engine tid in
   match op with
   | Op.Load { addr; width } ->
     Engine.advance t.engine tid cost.Cost.load;
@@ -128,129 +31,6 @@ let handle t ~tid (op : Op.t) : Engine.outcome =
     | Op.W8 -> Space.store_byte t.space addr value
     | Op.W64 -> Space.store_int t.space addr value);
     Done 0
-  | Op.Mutex_create ->
-    let h = fresh_handle t in
-    Hashtbl.replace t.mutexes h { owner = None; queue = Queue.create () };
-    Done h
-  | Op.Cond_create ->
-    let h = fresh_handle t in
-    Hashtbl.replace t.conds h { cond_waiters = Queue.create () };
-    Done h
-  | Op.Barrier_create parties ->
-    let h = fresh_handle t in
-    Hashtbl.replace t.barriers h { parties; arrived = [] };
-    Done h
-  | Op.Lock m ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = mutex_state t m in
-    (match st.owner with
-    | None ->
-      st.owner <- Some tid;
-      Done 0
-    | Some _ ->
-      Queue.add tid st.queue;
-      Block)
-  | Op.Trylock m ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = mutex_state t m in
-    (match st.owner with
-    | None ->
-      st.owner <- Some tid;
-      Done 0
-    | Some _ -> Done 2 (* busy; pthreads mutexes are never poisoned *))
-  | Op.Lock_timed { mutex = m; timeout = _ } ->
-    (* No deterministic time base to expire against: the nondeterministic
-       baseline treats a timed lock as an infinite-timeout lock, the
-       conservative pthread_mutex_timedlock behavior under a patient
-       deadline. *)
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = mutex_state t m in
-    (match st.owner with
-    | None ->
-      st.owner <- Some tid;
-      Done 0
-    | Some _ ->
-      Queue.add tid st.queue;
-      Block)
-  | Op.Mutex_heal m ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    (* Heal dispatches on the handle kind (handles are unique across
-       object kinds); nothing is ever poisoned without containment, so
-       this only validates the handle/holder. *)
-    (match Hashtbl.find_opt t.mutexes m with
-    | Some st -> (
-      match st.owner with
-      | Some owner when owner = tid -> ()
-      | Some _ | None ->
-        invalid_arg (Printf.sprintf "pthreads: heal of unheld mutex %d" m))
-    | None ->
-      if
-        not
-          (Hashtbl.mem t.rwlocks m || Hashtbl.mem t.sems m
-          || Hashtbl.mem t.deques m)
-      then invalid_arg (Printf.sprintf "pthreads: heal of unknown handle %d" m));
-    Done 0
-  | Op.Unlock m ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = mutex_state t m in
-    (match st.owner with
-    | Some owner when owner = tid -> ()
-    | Some _ | None ->
-      invalid_arg (Printf.sprintf "pthreads: unlock of unheld mutex %d" m));
-    st.owner <- None;
-    pass_mutex t ~mutex:m ~now:(now ());
-    Done 0
-  | Op.Cond_wait { cond; mutex } ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let mst = mutex_state t mutex in
-    (match mst.owner with
-    | Some owner when owner = tid -> ()
-    | Some _ | None ->
-      invalid_arg "pthreads: cond_wait without holding the mutex");
-    mst.owner <- None;
-    pass_mutex t ~mutex ~now:(now ());
-    Queue.add (tid, mutex) (cond_state t cond).cond_waiters;
-    Block
-  | Op.Cond_signal c ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    (match Queue.take_opt (cond_state t c).cond_waiters with
-    | None -> ()
-    | Some (w, mutex) ->
-      let mst = mutex_state t mutex in
-      (match mst.owner with
-      | None -> grant_mutex t ~tid:w ~mutex ~now:(now ())
-      | Some _ -> Queue.add w mst.queue));
-    Done 0
-  | Op.Cond_broadcast c ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let cst = cond_state t c in
-    let rec drain () =
-      match Queue.take_opt cst.cond_waiters with
-      | None -> ()
-      | Some (w, mutex) ->
-        let mst = mutex_state t mutex in
-        (match mst.owner with
-        | None -> grant_mutex t ~tid:w ~mutex ~now:(now ())
-        | Some _ -> Queue.add w mst.queue);
-        drain ()
-    in
-    drain ();
-    Done 0
-  | Op.Barrier_wait b ->
-    Engine.advance t.engine tid (cost.Cost.sync_op + cost.Cost.barrier_overhead);
-    let st = barrier_state t b in
-    st.arrived <- tid :: st.arrived;
-    if List.length st.arrived < st.parties then Block
-    else begin
-      let release_at = now () in
-      List.iter
-        (fun tid' ->
-          if tid' <> tid then
-            Engine.wake t.engine ~tid:tid' ~value:0 ~not_before:release_at)
-        st.arrived;
-      st.arrived <- [];
-      Done 0
-    end
   | Op.Atomic { addr; rmw } ->
     Engine.advance t.engine tid cost.Cost.sync_op;
     let current = Space.load_int t.space addr in
@@ -259,8 +39,8 @@ let handle t ~tid (op : Op.t) : Engine.outcome =
     Done prev
   | Op.Spawn body ->
     Engine.advance t.engine tid cost.Cost.spawn;
-    let child = Engine.register_thread t.engine ~body ~start_at:(now ()) in
-    Done child
+    let start_at = Engine.clock t.engine tid in
+    Done (Engine.register_thread t.engine ~body ~start_at)
   | Op.Join target ->
     Engine.advance t.engine tid cost.Cost.join;
     if Engine.is_finished t.engine target then Done 0
@@ -271,119 +51,18 @@ let handle t ~tid (op : Op.t) : Engine.outcome =
       Hashtbl.replace t.joiners target (existing @ [ tid ]);
       Block
     end
-  | Op.Rwlock_create ->
-    let h = fresh_handle t in
-    Hashtbl.replace t.rwlocks h
-      { rw_writer = None; rw_readers = []; rw_queue = Queue.create () };
-    Done h
-  | Op.Rdlock rw ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = rw_state t rw in
-    if st.rw_writer = None && Queue.is_empty st.rw_queue then begin
-      st.rw_readers <- tid :: st.rw_readers;
-      Done 0
-    end
-    else begin
-      Queue.add (tid, `Rd) st.rw_queue;
-      Block
-    end
-  | Op.Wrlock rw ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = rw_state t rw in
-    if st.rw_writer = None && st.rw_readers = [] && Queue.is_empty st.rw_queue
-    then begin
-      st.rw_writer <- Some tid;
-      Done 0
-    end
-    else begin
-      Queue.add (tid, `Wr) st.rw_queue;
-      Block
-    end
-  | Op.Rwunlock rw ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = rw_state t rw in
-    (if st.rw_writer = Some tid then st.rw_writer <- None
-     else if List.mem tid st.rw_readers then
-       st.rw_readers <- List.filter (fun r -> r <> tid) st.rw_readers
-     else invalid_arg (Printf.sprintf "pthreads: rwunlock of unheld %d" rw));
-    admit_rw t ~rw ~now:(now ());
-    Done 0
-  | Op.Sem_create permits ->
-    if permits < 0 then invalid_arg "pthreads: negative initial permits";
-    let h = fresh_handle t in
-    Hashtbl.replace t.sems h
-      { sem_permits = permits; sem_queue = Queue.create () };
-    Done h
-  | Op.Sem_acquire s ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = sem_state t s in
-    if st.sem_permits > 0 then begin
-      st.sem_permits <- st.sem_permits - 1;
-      Done 0
-    end
-    else begin
-      Queue.add tid st.sem_queue;
-      Block
-    end
-  | Op.Sem_post s ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = sem_state t s in
-    (match Queue.take_opt st.sem_queue with
-    | Some w -> Engine.wake t.engine ~tid:w ~value:0 ~not_before:(now ())
-    | None -> st.sem_permits <- st.sem_permits + 1);
-    Done 0
-  | Op.Deque_create ->
-    let h = fresh_handle t in
-    Hashtbl.replace t.deques h { dq_owner = tid; dq_items = [] };
-    Done h
-  | Op.Deque_push { deque; value } ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = deque_state t deque in
-    if st.dq_owner <> tid then
-      invalid_arg (Printf.sprintf "pthreads: push into deque %d by non-owner" deque);
-    let seq = t.push_seq in
-    t.push_seq <- seq + 1;
-    st.dq_items <- st.dq_items @ [ (value, seq) ];
-    Done 0
-  | Op.Deque_pop dq ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    let st = deque_state t dq in
-    if st.dq_owner <> tid then
-      invalid_arg (Printf.sprintf "pthreads: pop from deque %d by non-owner" dq);
-    (match List.rev st.dq_items with
-    | [] -> Done (-1)
-    | (v, _) :: rest ->
-      st.dq_items <- List.rev rest;
-      Done v)
-  | Op.Deque_steal own ->
-    Engine.advance t.engine tid cost.Cost.sync_op;
-    (* Steal the globally oldest item (lowest push sequence number),
-       excluding the thief's own deque. *)
-    let victim =
-      Hashtbl.fold
-        (fun h st best ->
-          if h = own then best
-          else
-            match st.dq_items, best with
-            | [], _ -> best
-            | (_, seq) :: _, Some (_, best_seq) when best_seq <= seq -> best
-            | (_, seq) :: _, _ -> Some (h, seq))
-        t.deques None
-    in
-    (match victim with
-    | None -> Done (-1)
-    | Some (h, _) ->
-      let st = deque_state t h in
-      (match st.dq_items with
-      | (v, _) :: rest ->
-        st.dq_items <- rest;
-        Done v
-      | [] -> assert false))
-  | Op.Tick _ | Op.Output _ | Op.Self | Op.Yield | Op.Checkpoint _
-  | Op.Server_mark _ | Op.Span _ | Op.Malloc _
-  | Op.Free _ ->
-    (* handled by the engine *)
-    assert false
+  | op ->
+    (* creating an object is free; every other primitive costs one sync
+       op, and a barrier also pays its release overhead *)
+    (match op with
+    | Op.Mutex_create | Op.Cond_create | Op.Barrier_create _ | Op.Rwlock_create
+    | Op.Sem_create _ | Op.Deque_create ->
+      ()
+    | Op.Barrier_wait _ ->
+      Engine.advance t.engine tid
+        (cost.Cost.sync_op + cost.Cost.barrier_overhead)
+    | _ -> Engine.advance t.engine tid cost.Cost.sync_op);
+    Fifo_sync.handle t.prims ~tid ~at:(Engine.clock t.engine tid) op
 
 let on_thread_exit t ~tid =
   match Hashtbl.find_opt t.joiners tid with
@@ -414,15 +93,10 @@ let make engine : Engine.policy =
     {
       engine;
       space = Space.create ();
-      mutexes = Hashtbl.create 16;
-      conds = Hashtbl.create 16;
-      barriers = Hashtbl.create 4;
-      rwlocks = Hashtbl.create 8;
-      sems = Hashtbl.create 8;
-      deques = Hashtbl.create 8;
+      prims =
+        Fifo_sync.create ~name ~wake:(fun ~tid ~at ->
+            Engine.wake engine ~tid ~value:0 ~not_before:at);
       joiners = Hashtbl.create 8;
-      next_handle = 1;
-      push_seq = 0;
     }
   in
   {

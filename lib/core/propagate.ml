@@ -63,38 +63,6 @@ let apply_eager ~cost ~(into : Tstate.t) (s : Slice.t) =
   Diff.apply into.shared s.mods;
   s.bytes * cost.Cost.apply_byte
 
-(* Most slices touch one page and pass through as they are.  Otherwise
-   a slice holds each page's runs contiguously (it concatenates per-page
-   diffs), so one pass splits it into segments and only the few segments
-   are sorted; a page split over two segments is joined back, so any
-   list groups exactly.  (Stable-sorting all runs instead cost fft at
-   32 threads half again in allocation and grant time.) *)
-let runs_by_page (mods : Diff.t) =
-  let page (r : Diff.run) = Rfdet_mem.Page.id_of_addr r.addr in
-  match mods with
-  | [] -> []
-  | first :: _ when List.for_all (fun r -> page r = page first) mods ->
-    [ (page first, mods) ]
-  | _ ->
-    List.fold_left
-      (fun segs r ->
-        match segs with
-        | (p, runs) :: rest when p = page r -> (p, r :: runs) :: rest
-        | _ -> (page r, [ r ]) :: segs)
-      [] mods
-    |> List.rev_map (fun (p, runs) -> (p, List.rev runs))
-    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.fold_left
-         (fun groups (p, runs) ->
-           match groups with
-           | (q, prev) :: rest when q = p -> (q, prev @ runs) :: rest
-           | _ -> (p, runs) :: groups)
-         []
-    |> List.rev
-
-let run_bytes runs =
-  List.fold_left (fun acc (r : Diff.run) -> acc + String.length r.data) 0 runs
-
 let apply_lazy ~cost ~(opts : Options.t) ~(into : Tstate.t) (s : Slice.t) =
   (* Pages carrying a substantial payload are queued and access-revoked
      so the first touch faults the updates in; small payloads are cheaper
@@ -104,7 +72,7 @@ let apply_lazy ~cost ~(opts : Options.t) ~(into : Tstate.t) (s : Slice.t) =
   let deferred = ref false in
   List.iter
     (fun (page, runs) ->
-      let bytes = run_bytes runs in
+      let bytes = Diff.byte_count runs in
       (* A page that already has deferred updates must keep receiving
          them in order, whatever the payload size. *)
       if bytes >= opts.lazy_min_bytes || Tstate.has_pending into page then begin
@@ -117,15 +85,10 @@ let apply_lazy ~cost ~(opts : Options.t) ~(into : Tstate.t) (s : Slice.t) =
         Diff.apply_runs_on_page into.shared ~page_id:page runs;
         cycles := !cycles + (bytes * cost.Cost.apply_byte)
       end)
-    (runs_by_page s.mods);
+    (Diff.runs_by_page s.mods);
   (* one mprotect call covers the whole deferred page set *)
   if !deferred then cycles := !cycles + cost.Cost.mprotect_page;
   !cycles
-
-(* Per-page byte totals of a slice's modification list, page id
-   ascending — the payload of the trace's [Prop_page] events. *)
-let pages_of_mods mods =
-  List.map (fun (page, runs) -> (page, run_bytes runs)) (runs_by_page mods)
 
 let admits ~upper ~lower (s : Slice.t) =
   Vclock.get lower s.tid < s.epoch && s.epoch <= Vclock.get upper s.tid
@@ -158,7 +121,7 @@ let run ?(drop = false) ?(obs = Rfdet_obs.Sink.null) ?(at = 0) ~cost
             prof.bytes_propagated <- prof.bytes_propagated + s.bytes;
             if Rfdet_obs.Sink.enabled obs then begin
               let vc = Array.of_list (Vclock.to_list into.time) in
-              let pages = pages_of_mods s.mods in
+              let pages = Diff.pages_of_mods s.mods in
               List.iter
                 (fun (page, bytes) ->
                   Rfdet_obs.Sink.emit obs ~tid:into.tid ~time:at ~vc

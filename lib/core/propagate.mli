@@ -31,11 +31,6 @@ val admits : upper:Rfdet_util.Vclock.t -> lower:Rfdet_util.Vclock.t -> Slice.t -
     and [Rfdet_check.Oracle] keep the full comparisons as the
     independent reference. *)
 
-val runs_by_page : Rfdet_mem.Diff.t -> (int * Rfdet_mem.Diff.run list) list
-(** A modification list grouped by page: (page id, runs) pairs, page id
-    ascending, each page's runs in list order.  Linear in the list for
-    the shape slices have (each page's runs contiguous). *)
-
 val run :
   ?drop:bool ->
   ?obs:Rfdet_obs.Sink.t ->

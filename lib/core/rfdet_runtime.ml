@@ -534,19 +534,8 @@ let handle t ~tid (op : Op.t) : Engine.outcome =
   | Op.Store { addr; value; width } ->
     do_store t ~tid ~addr ~value ~width;
     Done 0
-  | Op.Mutex_create -> Sync.mutex_create sync ~tid
-  | Op.Cond_create -> Sync.cond_create sync ~tid
-  | Op.Barrier_create parties -> Sync.barrier_create sync ~tid ~parties
-  | Op.Lock m -> Sync.lock sync ~tid ~mutex:m
-  | Op.Trylock m -> Sync.trylock sync ~tid ~mutex:m
-  | Op.Lock_timed { mutex; timeout } -> Sync.lock_timed sync ~tid ~mutex ~timeout
-  | Op.Mutex_heal m -> Sync.heal sync ~tid ~handle:m
-  | Op.Unlock m -> Sync.unlock sync ~tid ~mutex:m
-  | Op.Cond_wait { cond; mutex } -> Sync.cond_wait sync ~tid ~cond ~mutex
   | Op.Cond_signal c ->
     Sync.cond_signal ~lose:(bug_lost_active t) sync ~tid ~cond:c
-  | Op.Cond_broadcast c -> Sync.cond_broadcast sync ~tid ~cond:c
-  | Op.Barrier_wait b -> Sync.barrier_wait sync ~tid ~barrier:b
   | Op.Atomic { addr; rmw } ->
     (* Section 4.6/6: a low-level atomic is an acquire followed by a
        release on an internal synchronization variable keyed by the
@@ -560,23 +549,7 @@ let handle t ~tid (op : Op.t) : Engine.outcome =
         do_store t ~tid ~addr ~value:next ~width:Op.W64;
         let rel = do_release t ~tid ~obj ~now:(now + acq) in
         (prev, acq + rel))
-  | Op.Spawn body -> Sync.spawn sync ~tid ~body
-  | Op.Join target -> Sync.join sync ~tid ~target
-  | Op.Rwlock_create -> Sync.rwlock_create sync ~tid
-  | Op.Rdlock rw -> Sync.rdlock sync ~tid ~rwlock:rw
-  | Op.Wrlock rw -> Sync.wrlock sync ~tid ~rwlock:rw
-  | Op.Rwunlock rw -> Sync.rwunlock sync ~tid ~rwlock:rw
-  | Op.Sem_create permits -> Sync.sem_create sync ~tid ~permits
-  | Op.Sem_acquire s -> Sync.sem_acquire sync ~tid ~sem:s
-  | Op.Sem_post s -> Sync.sem_post sync ~tid ~sem:s
-  | Op.Deque_create -> Sync.deque_create sync ~tid
-  | Op.Deque_push { deque; value } -> Sync.deque_push sync ~tid ~deque ~value
-  | Op.Deque_pop dq -> Sync.deque_pop sync ~tid ~deque:dq
-  | Op.Deque_steal own -> Sync.deque_steal sync ~tid ~own
-  | Op.Tick _ | Op.Output _ | Op.Self | Op.Yield | Op.Checkpoint _
-  | Op.Server_mark _ | Op.Span _ | Op.Malloc _
-  | Op.Free _ ->
-    assert false
+  | op -> Sync.handle sync ~tid op
 
 let shared_union_bytes t =
   let pages = Hashtbl.create 256 in

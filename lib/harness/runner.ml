@@ -2,21 +2,20 @@ module Engine = Rfdet_sim.Engine
 module Options = Rfdet_core.Options
 module Workload = Rfdet_workloads.Workload
 module Recover = Rfdet_recover.Recover
+module Fence_runtime = Rfdet_baselines.Fence_runtime
 
 type runtime = Pthreads | Kendo | Dthreads | Coredet | Rfdet of Options.t
 
 let runtime_name = function
   | Pthreads -> Rfdet_baselines.Pthreads_runtime.name
   | Kendo -> Rfdet_baselines.Kendo_runtime.name
-  | Dthreads -> Rfdet_baselines.Dthreads_runtime.name
-  | Coredet -> Rfdet_baselines.Coredet_runtime.name
+  | Dthreads -> Fence_runtime.name Fence_runtime.Dthreads
+  | Coredet -> Fence_runtime.name Fence_runtime.coredet
   | Rfdet opts -> Options.name opts
 
 let rfdet_ci = Rfdet Options.ci
 
 let rfdet_pf = Rfdet Options.pf
-
-let all_runtimes = [ Pthreads; Kendo; Dthreads; rfdet_ci; rfdet_pf ]
 
 (* The CLI-facing runtime vocabulary — the single source of truth for
    `--runtime` parsing and for the [runtime] field of record/replay
@@ -44,8 +43,8 @@ let cli_name r =
 let make_policy = function
   | Pthreads -> Rfdet_baselines.Pthreads_runtime.make
   | Kendo -> Rfdet_baselines.Kendo_runtime.make
-  | Dthreads -> Rfdet_baselines.Dthreads_runtime.make
-  | Coredet -> Rfdet_baselines.Coredet_runtime.make ?quantum:None
+  | Dthreads -> Fence_runtime.make Fence_runtime.Dthreads
+  | Coredet -> Fence_runtime.make Fence_runtime.coredet
   | Rfdet opts -> Rfdet_core.Rfdet_runtime.make ~opts
 
 type run_result = {

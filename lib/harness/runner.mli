@@ -13,9 +13,6 @@ val rfdet_ci : runtime
 
 val rfdet_pf : runtime
 
-val all_runtimes : runtime list
-(** The four bars of Figure 7 plus the Kendo reference. *)
-
 val named_runtimes : (string * runtime) list
 (** The CLI-facing runtime vocabulary, in presentation order — the
     single source of truth for `--runtime` parsing and for the runtime

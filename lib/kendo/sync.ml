@@ -1,5 +1,6 @@
 module Engine = Rfdet_sim.Engine
 module Cost = Rfdet_sim.Cost
+module Op = Rfdet_sim.Op
 
 type obj =
   | Mutex_obj of int
@@ -210,7 +211,7 @@ let sync_cost t = (Engine.cost t.engine).Cost.sync_op
 
 let obs t = Engine.obs t.engine
 
-let mutex_create t ~tid:_ =
+let mutex_create t =
   let h = fresh_handle t in
   Hashtbl.replace t.mutexes h
     {
@@ -222,12 +223,12 @@ let mutex_create t ~tid:_ =
     };
   Engine.Done h
 
-let cond_create t ~tid:_ =
+let cond_create t =
   let h = fresh_handle t in
   Hashtbl.replace t.conds h { cond_waiters = [] };
   Engine.Done h
 
-let rwlock_create t ~tid:_ =
+let rwlock_create t =
   let h = fresh_handle t in
   Hashtbl.replace t.rwlocks h
     {
@@ -240,7 +241,7 @@ let rwlock_create t ~tid:_ =
     };
   Engine.Done h
 
-let sem_create t ~tid:_ ~permits =
+let sem_create t ~permits =
   if permits < 0 then invalid_arg "Sync.sem_create: permits < 0";
   let h = fresh_handle t in
   Hashtbl.replace t.sems h
@@ -259,7 +260,7 @@ let deque_create t ~tid =
     { dq_owner = tid; dq_items = []; dq_poisoned = false; dq_poisoned_by = None };
   Engine.Done h
 
-let barrier_create t ~tid:_ ~parties =
+let barrier_create t ~parties =
   if parties <= 0 then invalid_arg "Sync.barrier_create: parties <= 0";
   let h = fresh_handle t in
   Hashtbl.replace t.barriers h
@@ -961,6 +962,42 @@ let join t ~tid ~target =
       end);
   Engine.Block
 
+(* The one Op -> primitive table of the Kendo runtimes.  Each runtime
+   keeps its memory ops (Load, Store and the closure it runs for an
+   Atomic) and delegates everything else here; engine ops never reach a
+   policy. *)
+let handle t ~tid (op : Op.t) =
+  match op with
+  | Op.Mutex_create -> mutex_create t
+  | Op.Cond_create -> cond_create t
+  | Op.Barrier_create parties -> barrier_create t ~parties
+  | Op.Lock m -> lock t ~tid ~mutex:m
+  | Op.Trylock m -> trylock t ~tid ~mutex:m
+  | Op.Lock_timed { mutex; timeout } -> lock_timed t ~tid ~mutex ~timeout
+  | Op.Mutex_heal h -> heal t ~tid ~handle:h
+  | Op.Unlock m -> unlock t ~tid ~mutex:m
+  | Op.Cond_wait { cond; mutex } -> cond_wait t ~tid ~cond ~mutex
+  | Op.Cond_signal cond -> cond_signal t ~tid ~cond
+  | Op.Cond_broadcast cond -> cond_broadcast t ~tid ~cond
+  | Op.Barrier_wait b -> barrier_wait t ~tid ~barrier:b
+  | Op.Spawn body -> spawn t ~tid ~body
+  | Op.Join target -> join t ~tid ~target
+  | Op.Rwlock_create -> rwlock_create t
+  | Op.Rdlock rw -> rdlock t ~tid ~rwlock:rw
+  | Op.Wrlock rw -> wrlock t ~tid ~rwlock:rw
+  | Op.Rwunlock rw -> rwunlock t ~tid ~rwlock:rw
+  | Op.Sem_create permits -> sem_create t ~permits
+  | Op.Sem_acquire s -> sem_acquire t ~tid ~sem:s
+  | Op.Sem_post s -> sem_post t ~tid ~sem:s
+  | Op.Deque_create -> deque_create t ~tid
+  | Op.Deque_push { deque; value } -> deque_push t ~tid ~deque ~value
+  | Op.Deque_pop dq -> deque_pop t ~tid ~deque:dq
+  | Op.Deque_steal own -> deque_steal t ~tid ~own
+  | Op.Load _ | Op.Store _ | Op.Atomic _ | Op.Tick _ | Op.Output _ | Op.Self
+  | Op.Yield | Op.Checkpoint _ | Op.Server_mark _ | Op.Span _ | Op.Malloc _
+  | Op.Free _ ->
+    invalid_arg "Sync.handle: not a synchronization op"
+
 let on_thread_exit t ~tid =
   t.hooks.exited ~tid;
   Arbiter.thread_finished t.arb ~tid;
@@ -1293,49 +1330,3 @@ let deadlock_victim t =
          hd tl)
 
 let poll t = Arbiter.poll t.arb
-
-let holder t ~mutex = (mutex_state t mutex).owner
-
-let mutex_poisoned t ~mutex = (mutex_state t mutex).poisoned
-
-let mutex_poisoned_by t ~mutex = (mutex_state t mutex).poisoned_by
-
-let barrier_broken t ~barrier = (barrier_state t barrier).broken
-
-let crashed t ~tid = Hashtbl.mem t.crashed tid
-
-let joining_target t ~tid =
-  Hashtbl.fold
-    (fun target joiners acc ->
-      if acc = None && List.mem tid joiners then Some target else acc)
-    t.joiners None
-
-let waiters t ~cond =
-  List.map (fun (tid, _, _) -> tid) (cond_state t cond).cond_waiters
-
-let rw_holders t ~rwlock =
-  let st = rwlock_state t rwlock in
-  match st.rw_writer with
-  | Some w -> `Writer w
-  | None -> (
-    match st.rw_readers with [] -> `Free | rs -> `Readers (List.sort compare rs))
-
-let rw_waiters t ~rwlock =
-  List.map
-    (fun w -> (w.rw_tid, match w.rw_mode with Rd -> `Rd | Wr -> `Wr))
-    (rwlock_state t rwlock).rw_waiting
-
-let rwlock_poisoned t ~rwlock = (rwlock_state t rwlock).rw_poisoned
-
-let sem_permits t ~sem = (sem_state t sem).sem_permits
-
-let sem_waiters t ~sem =
-  List.map (fun (tid, _, _, _) -> tid) (sem_state t sem).sem_waiting
-
-let sem_poisoned t ~sem = (sem_state t sem).sem_poisoned
-
-let deque_owner t ~deque = (deque_state t deque).dq_owner
-
-let deque_size t ~deque = List.length (deque_state t deque).dq_items
-
-let deque_poisoned t ~deque = (deque_state t deque).dq_poisoned

@@ -54,41 +54,65 @@ type t
 
 val create : Rfdet_sim.Engine.t -> hooks -> t
 
-(** Handle one synchronization operation for the current thread.  Every
-    function returns the [Engine.outcome] the policy should return:
-    turn-taking operations block and are completed by the arbiter. *)
+val handle : t -> tid:int -> Rfdet_sim.Op.t -> Rfdet_sim.Engine.outcome
+(** Handle one synchronization operation for the current thread — the
+    only [Op] to primitive table of the Kendo runtimes.  Returns the
+    [Engine.outcome] the policy should return: turn-taking operations
+    block and are completed by the arbiter.  Raises [Invalid_argument]
+    for memory ops ([Load], [Store], [Atomic] — see [rmw]) and engine
+    ops, which the client runtime handles itself.
 
-val mutex_create : t -> tid:int -> Rfdet_sim.Engine.outcome
+    {b Mutexes.}  [Trylock] is a non-blocking acquire: it takes a
+    deterministic turn, then either acquires (waking with 0/1 for
+    clean/poisoned) or reports busy (waking with 2) without queueing.
+    [Lock_timed] is a lock with a deterministic deadline of [timeout]
+    counted instructions from the request, filed as an arbiter timer in
+    the same min-stamp grant order as turn requests.  If the mutex is
+    granted first the timer is cancelled; if the deadline is granted
+    first the waiter leaves the queue and wakes with 2 ([`Timed_out]).
 
-val lock : t -> tid:int -> mutex:int -> Rfdet_sim.Engine.outcome
+    {b Heals.}  [Mutex_heal] dispatches on the handle's kind (handles
+    are unique across mutexes, rwlocks, semaphores and deques).
+    Mutexes, rwlocks and semaphores require the caller to hold the
+    object (raises [Invalid_argument] otherwise); anyone may heal a
+    poisoned deque (the owner is dead).  The caller declares the
+    protected invariant re-established.  A poisoned mutex also heals
+    automatically when the restarted thread whose crash poisoned it
+    completes a clean [Unlock].  Counted in [Profile.heals] and traced
+    as a [Recovery] event.
 
-val trylock : t -> tid:int -> mutex:int -> Rfdet_sim.Engine.outcome
-(** Non-blocking acquire: takes a deterministic turn, then either
-    acquires (waking with 0/1 for clean/poisoned) or reports busy
-    (waking with 2) without queueing. *)
+    {b Condition variables.}  [Cond_signal] is [cond_signal] below;
+    [Cond_broadcast] wakes every waiter, in ascending stamp order.
 
-val lock_timed :
-  t -> tid:int -> mutex:int -> timeout:int -> Rfdet_sim.Engine.outcome
-(** [lock] with a deterministic deadline of [timeout] counted
-    instructions from the request, filed as an arbiter timer in the same
-    min-stamp grant order as turn requests.  If the mutex is granted
-    first the timer is cancelled; if the deadline is granted first the
-    waiter leaves the queue and wakes with 2 ([`Timed_out]). *)
+    {b Reader–writer locks.}  Deterministic admission: all blocked
+    requests sit in one queue sorted by Kendo stamp.  An arriving reader
+    acquires immediately only when no writer holds the lock and no
+    writer is waiting (stamp-ordered writer preference); an arriving
+    writer acquires only when the lock is entirely free.  On full
+    release, the queue head is admitted — a writer alone, or the
+    consecutive run of readers at the head as one batch
+    ([Profile.rw_reader_batches] / [rw_batch_readers]).  [Rwunlock]
+    releases the caller's hold (shared or exclusive — detected; raises
+    [Invalid_argument] when the caller holds neither).  A clean release
+    by the thread whose earlier crash poisoned the lock heals it.
 
-val mutex_heal :
-  t -> tid:int -> mutex:int -> Rfdet_sim.Engine.outcome
-(** Un-poison a mutex the caller holds (raises [Invalid_argument]
-    otherwise): the caller declares the protected invariant
-    re-established.  A poisoned mutex also heals automatically when the
-    restarted thread whose crash poisoned it completes a clean
-    [unlock].  Counted in [Profile.heals] and traced as a [Recovery]
-    event. *)
+    {b Counting semaphores.}  [Sem_acquire] (P) grants a permit when
+    available, else queues in stamp order.  [Sem_post] (V) hands the
+    permit directly to the lowest-stamp waiter when one is queued (no
+    release-then-race), else increments the pool.  A post by the thread
+    whose crash poisoned the semaphore heals it.
 
-val unlock : t -> tid:int -> mutex:int -> Rfdet_sim.Engine.outcome
-
-val cond_create : t -> tid:int -> Rfdet_sim.Engine.outcome
-
-val cond_wait : t -> tid:int -> cond:int -> mutex:int -> Rfdet_sim.Engine.outcome
+    {b Work-stealing deques.}  The new deque is owned by the creating
+    thread; only the owner may push/pop.  [Deque_push] puts the value at
+    the bottom, stamped with the owner's Kendo time (a release point).
+    A push by the restarted owner of a poisoned deque heals it.
+    [Deque_pop] pops the newest item (LIFO); wakes with the value, -1
+    when empty, -2 when poisoned.  [Deque_steal] steals the globally
+    oldest item: deterministic victim selection — the non-empty,
+    non-poisoned deque (excluding [own]) whose oldest item has the
+    smallest (push stamp, handle).  Wakes with the value, or -1 when no
+    victim exists.  Counted in [Profile.steals_attempted] /
+    [steals_succeeded] and traced as a [Steal] event. *)
 
 val cond_signal : ?lose:bool -> t -> tid:int -> cond:int -> Rfdet_sim.Engine.outcome
 (** Wake the *lowest-stamp* waiter — deterministic, not FIFO: the waiter
@@ -99,78 +123,6 @@ val cond_signal : ?lose:bool -> t -> tid:int -> cond:int -> Rfdet_sim.Engine.out
     (default false) is the seeded [bug_lost_signal] fault: the signal
     takes its deterministic turn but the wakeup is swallowed — the waiter
     stays queued, modelling the classic lost-wakeup bug. *)
-
-val cond_broadcast : t -> tid:int -> cond:int -> Rfdet_sim.Engine.outcome
-(** Wake every waiter, in ascending stamp order. *)
-
-val barrier_create : t -> tid:int -> parties:int -> Rfdet_sim.Engine.outcome
-
-val barrier_wait : t -> tid:int -> barrier:int -> Rfdet_sim.Engine.outcome
-
-val spawn : t -> tid:int -> body:(unit -> unit) -> Rfdet_sim.Engine.outcome
-
-val join : t -> tid:int -> target:int -> Rfdet_sim.Engine.outcome
-
-(** {2 Reader–writer locks}
-
-    Deterministic admission: all blocked requests sit in one queue sorted
-    by Kendo stamp.  An arriving reader acquires immediately only when no
-    writer holds the lock and no writer is waiting (stamp-ordered writer
-    preference); an arriving writer acquires only when the lock is
-    entirely free.  On full release, the queue head is admitted — a
-    writer alone, or the consecutive run of readers at the head as one
-    batch ([Profile.rw_reader_batches] / [rw_batch_readers]). *)
-
-val rwlock_create : t -> tid:int -> Rfdet_sim.Engine.outcome
-
-val rdlock : t -> tid:int -> rwlock:int -> Rfdet_sim.Engine.outcome
-
-val wrlock : t -> tid:int -> rwlock:int -> Rfdet_sim.Engine.outcome
-
-val rwunlock : t -> tid:int -> rwlock:int -> Rfdet_sim.Engine.outcome
-(** Release the caller's hold (shared or exclusive — detected; raises
-    [Invalid_argument] when the caller holds neither).  A clean release
-    by the thread whose earlier crash poisoned the lock heals it. *)
-
-(** {2 Counting semaphores} *)
-
-val sem_create : t -> tid:int -> permits:int -> Rfdet_sim.Engine.outcome
-
-val sem_acquire : t -> tid:int -> sem:int -> Rfdet_sim.Engine.outcome
-(** P: grants a permit when available, else queues in stamp order. *)
-
-val sem_post : t -> tid:int -> sem:int -> Rfdet_sim.Engine.outcome
-(** V: hands the permit directly to the lowest-stamp waiter when one is
-    queued (no release-then-race), else increments the pool.  A post by
-    the thread whose crash poisoned the semaphore heals it. *)
-
-(** {2 Work-stealing deques} *)
-
-val deque_create : t -> tid:int -> Rfdet_sim.Engine.outcome
-(** The new deque is owned by [tid]; only the owner may push/pop. *)
-
-val deque_push :
-  t -> tid:int -> deque:int -> value:int -> Rfdet_sim.Engine.outcome
-(** Owner pushes [value] at the bottom, stamped with the owner's Kendo
-    time (a release point).  A push by the restarted owner of a poisoned
-    deque heals it. *)
-
-val deque_pop : t -> tid:int -> deque:int -> Rfdet_sim.Engine.outcome
-(** Owner pops the newest item (LIFO); wakes with the value, -1 when
-    empty, -2 when poisoned. *)
-
-val deque_steal : t -> tid:int -> own:int -> Rfdet_sim.Engine.outcome
-(** Steal the globally oldest item: deterministic victim selection — the
-    non-empty, non-poisoned deque (excluding [own]) whose oldest item
-    has the smallest (push stamp, handle).  Wakes with the value, or -1
-    when no victim exists.  Counted in [Profile.steals_attempted] /
-    [steals_succeeded] and traced as a [Steal] event. *)
-
-val heal : t -> tid:int -> handle:int -> Rfdet_sim.Engine.outcome
-(** Unified heal: dispatches on the handle's kind (handles are unique
-    across mutexes, rwlocks, semaphores and deques).  Mutexes, rwlocks
-    and semaphores require the caller to hold the object; anyone may
-    heal a poisoned deque (the owner is dead). *)
 
 val rmw :
   t -> tid:int -> action:(now:int -> int * int) -> Rfdet_sim.Engine.outcome
@@ -224,53 +176,3 @@ val poll : t -> unit
 (** Must be wired into the policy's [on_step]. *)
 
 val arbiter : t -> Arbiter.t
-
-(** [holder t ~mutex] — current owner, for assertions in tests. *)
-val holder : t -> mutex:int -> int option
-
-(** [mutex_poisoned t ~mutex] — true once a crash released the mutex
-    (and no heal has happened since). *)
-val mutex_poisoned : t -> mutex:int -> bool
-
-(** [mutex_poisoned_by t ~mutex] — the tid whose crash poisoned it;
-    [None] once healed (or never poisoned). *)
-val mutex_poisoned_by : t -> mutex:int -> int option
-
-(** [barrier_broken t ~barrier] — true once a party crashed. *)
-val barrier_broken : t -> barrier:int -> bool
-
-(** [crashed t ~tid] — true once [on_thread_crash] ran for [tid]. *)
-val crashed : t -> tid:int -> bool
-
-(** [waiters t ~cond] — queued waiter tids in deterministic order. *)
-val waiters : t -> cond:int -> int list
-
-(** [joining_target t ~tid] — when [tid] is blocked in a join, the thread
-    it waits for.  The RFDet garbage collector uses this: a joiner's
-    clock is guaranteed to absorb its target's clock before the joiner
-    touches memory again, so the target's time is a sound lower bound on
-    the joiner's future frontier contribution. *)
-val joining_target : t -> tid:int -> int option
-
-(** {2 Primitive-state accessors (tests and diagnostics)} *)
-
-(** [rw_holders t ~rwlock] — who holds the lock right now. *)
-val rw_holders : t -> rwlock:int -> [ `Free | `Writer of int | `Readers of int list ]
-
-(** [rw_waiters t ~rwlock] — blocked requests in stamp order. *)
-val rw_waiters : t -> rwlock:int -> (int * [ `Rd | `Wr ]) list
-
-val rwlock_poisoned : t -> rwlock:int -> bool
-
-val sem_permits : t -> sem:int -> int
-
-(** [sem_waiters t ~sem] — blocked acquirers in stamp order. *)
-val sem_waiters : t -> sem:int -> int list
-
-val sem_poisoned : t -> sem:int -> bool
-
-val deque_owner : t -> deque:int -> int
-
-val deque_size : t -> deque:int -> int
-
-val deque_poisoned : t -> deque:int -> bool

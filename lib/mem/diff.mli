@@ -56,6 +56,16 @@ val apply_runs_on_page : Space.t -> page_id:int -> run list -> unit
     space cost of storing the list. *)
 val byte_count : t -> int
 
+(** [runs_by_page t] groups a modification list by page: (page id,
+    runs) pairs, page id ascending, each page's runs in list order.
+    Linear in the list for the shape slices and commits have (each
+    page's runs contiguous). *)
+val runs_by_page : t -> (int * run list) list
+
+(** [pages_of_mods t] is each page's byte total, page id ascending —
+    the payload of the trace's [Prop_page] events. *)
+val pages_of_mods : t -> (int * int) list
+
 (** [run_count t] is the number of runs. *)
 val run_count : t -> int
 

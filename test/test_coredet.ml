@@ -1,10 +1,10 @@
 module Engine = Rfdet_sim.Engine
 module Api = Rfdet_sim.Api
 module Layout = Rfdet_mem.Layout
-module Coredet = Rfdet_baselines.Coredet_runtime
+module Fence = Rfdet_baselines.Fence_runtime
 
 let run ?(quantum = 10_000) ?config main =
-  Engine.run ?config (Coredet.make ~quantum) ~main
+  Engine.run ?config (Fence.make (Coredet { quantum })) ~main
 
 let base = Layout.globals_base
 

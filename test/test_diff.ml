@@ -213,6 +213,37 @@ let prop_diff_minimal =
       done;
       Diff.byte_count d = !expected)
 
+(* [Diff.runs_by_page] against the per-slice table it replaced:
+   same groups, page id ascending, runs in list order — for any list,
+   including pages split over several segments, which slices from
+   [close_slice] never have. *)
+let by_page_table (mods : Diff.t) =
+  let by_page = Hashtbl.create 8 in
+  List.iter
+    (fun (r : Diff.run) ->
+      let page = Page.id_of_addr r.addr in
+      let existing = Option.value (Hashtbl.find_opt by_page page) ~default:[] in
+      Hashtbl.replace by_page page (r :: existing))
+    mods;
+  Hashtbl.fold (fun p rs acc -> (p, List.rev rs) :: acc) by_page []
+  |> List.sort compare
+
+let prop_runs_by_page =
+  QCheck2.Test.make ~name:"diff: runs_by_page == per-slice table"
+    ~count:500
+    QCheck2.Gen.(
+      list_size (int_bound 40)
+        (pair (pair (int_bound 3) (int_bound (Page.size - 8))) (string_size (int_range 1 8))))
+    (fun runs ->
+      let mods =
+        List.map
+          (fun ((page, off), data) -> { Diff.addr = Page.base_of_id page + off; data })
+          runs
+      in
+      Diff.runs_by_page mods = by_page_table mods
+      && Diff.pages_of_mods mods
+         = List.map (fun (p, rs) -> (p, Diff.byte_count rs)) (by_page_table mods))
+
 let suites =
   [
     ( "diff",
@@ -233,5 +264,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_word_diff_equals_bytewise_runs;
         QCheck_alcotest.to_alcotest prop_diff_apply_roundtrip;
         QCheck_alcotest.to_alcotest prop_diff_minimal;
+        QCheck_alcotest.to_alcotest prop_runs_by_page;
       ] );
   ]

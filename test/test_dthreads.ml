@@ -1,11 +1,11 @@
 module Engine = Rfdet_sim.Engine
 module Api = Rfdet_sim.Api
 module Layout = Rfdet_mem.Layout
-module Dthreads = Rfdet_baselines.Dthreads_runtime
+module Fence = Rfdet_baselines.Fence_runtime
 module Rfdet = Rfdet_core.Rfdet_runtime
 module Options = Rfdet_core.Options
 
-let run ?config main = Engine.run ?config Dthreads.make ~main
+let run ?config main = Engine.run ?config (Fence.make Dthreads) ~main
 
 let with_seed seed = { Engine.default_config with seed; jitter_mean = 10. }
 

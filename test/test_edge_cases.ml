@@ -12,8 +12,8 @@ let dmt_policies () =
   [
     ("rfdet-ci", Rfdet_core.Rfdet_runtime.make ~opts:Options.ci);
     ("rfdet-pf", Rfdet_core.Rfdet_runtime.make ~opts:Options.pf);
-    ("dthreads", Rfdet_baselines.Dthreads_runtime.make);
-    ("coredet", Rfdet_baselines.Coredet_runtime.make ?quantum:None);
+    ("dthreads", Rfdet_baselines.Fence_runtime.(make Dthreads));
+    ("coredet", Rfdet_baselines.Fence_runtime.(make coredet));
     ("dlrc-model", Rfdet_core.Dlrc_model.make);
   ]
 

@@ -201,35 +201,6 @@ let test_propagate_lazy_defers_large () =
   Alcotest.(check bool) "page protected" true
     (Space.protection into.Tstate.shared 5 = Space.Prot_none)
 
-(* [Propagate.runs_by_page] against the per-slice table it replaced:
-   same groups, page id ascending, runs in list order — for any list,
-   including pages split over several segments, which slices from
-   [close_slice] never have. *)
-let by_page_table (mods : Diff.t) =
-  let by_page = Hashtbl.create 8 in
-  List.iter
-    (fun (r : Diff.run) ->
-      let page = Page.id_of_addr r.addr in
-      let existing = Option.value (Hashtbl.find_opt by_page page) ~default:[] in
-      Hashtbl.replace by_page page (r :: existing))
-    mods;
-  Hashtbl.fold (fun p rs acc -> (p, List.rev rs) :: acc) by_page []
-  |> List.sort compare
-
-let prop_runs_by_page =
-  QCheck2.Test.make ~name:"propagate: runs_by_page == per-slice table"
-    ~count:500
-    QCheck2.Gen.(
-      list_size (int_bound 40)
-        (pair (pair (int_bound 3) (int_bound (Page.size - 8))) (string_size (int_range 1 8))))
-    (fun runs ->
-      let mods =
-        List.map
-          (fun ((page, off), data) -> { Diff.addr = Page.base_of_id page + off; data })
-          runs
-      in
-      Propagate.runs_by_page mods = by_page_table mods)
-
 let suites =
   [
     ( "metadata",
@@ -247,6 +218,5 @@ let suites =
           test_propagate_skips_freed;
         Alcotest.test_case "propagate lazy defers" `Quick
           test_propagate_lazy_defers_large;
-        QCheck_alcotest.to_alcotest prop_runs_by_page;
       ] );
   ]

@@ -486,6 +486,28 @@ let test_quantile_edge_cases () =
   let r = Report.render_quantiles m [ "one"; "absent" ] in
   Alcotest.(check bool) "render has row" true (contains ~needle:"one" r)
 
+(* The fence runtimes share one commit path, so a CoreDet commit is
+   traced like a DThreads one: each propagate event follows one
+   prop_page event per committed page, and their bytes add up. *)
+let test_coredet_commit_trace () =
+  let _, events = traced Runner.Coredet (Registry.find "fft") in
+  let commits = ref 0 in
+  let page_bytes = ref [] in
+  List.iter
+    (fun (e : Trace.event) ->
+      match e.Trace.kind with
+      | Trace.Prop_page { bytes; _ } -> page_bytes := bytes :: !page_bytes
+      | Trace.Propagate { pages; bytes; _ } ->
+        incr commits;
+        Alcotest.(check int) "pages = prop_page events"
+          (List.length !page_bytes) pages;
+        Alcotest.(check int) "bytes = sum of page bytes" bytes
+          (List.fold_left ( + ) 0 !page_bytes);
+        page_bytes := []
+      | _ -> ())
+    events;
+  Alcotest.(check bool) "commits traced" true (!commits > 0)
+
 let suites =
   [
     ( "obs",
@@ -499,6 +521,8 @@ let suites =
           test_line_rejects_garbage;
         Alcotest.test_case "tracing is deterministically inert" `Quick
           test_tracing_inert;
+        Alcotest.test_case "coredet commits traced per page" `Quick
+          test_coredet_commit_trace;
         Alcotest.test_case "same seed, same trace bytes" `Quick
           test_trace_same_seed_identical;
         Alcotest.test_case "different seed, different trace" `Quick

@@ -14,8 +14,8 @@ let policies () =
   [
     ("pthreads", Rfdet_baselines.Pthreads_runtime.make);
     ("kendo", Rfdet_baselines.Kendo_runtime.make);
-    ("dthreads", Rfdet_baselines.Dthreads_runtime.make);
-    ("coredet", Rfdet_baselines.Coredet_runtime.make ?quantum:None);
+    ("dthreads", Rfdet_baselines.Fence_runtime.(make Dthreads));
+    ("coredet", Rfdet_baselines.Fence_runtime.(make coredet));
     ("rfdet-ci", Rfdet_core.Rfdet_runtime.make ~opts:Options.ci);
   ]
 

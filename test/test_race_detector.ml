@@ -151,6 +151,47 @@ let test_benchmarks_race_free () =
         0 (List.length report.Detector.races))
     Registry.table1
 
+(* One heal op names a mutex, rwlock, semaphore or deque by handle.
+   Healing a held write lock, a held permit and a deque must succeed on
+   every policy, the race detector and the DLRC reference model
+   included. *)
+let heal_program () =
+  let rw = Api.rwlock_create () in
+  let s = Api.sem_create 1 in
+  let dq = Api.deque_create () in
+  Api.wrlock rw;
+  Api.rwlock_heal rw;
+  Api.rwunlock rw;
+  Api.sem_acquire s;
+  Api.sem_heal s;
+  Api.sem_post s;
+  Api.deque_push dq 7;
+  Api.deque_heal dq;
+  match Api.deque_pop dq with
+  | `Item v -> Api.output_int v
+  | `Empty | `Poisoned -> Api.output_int (-1)
+
+let test_heals_on_every_policy () =
+  let module Engine = Rfdet_sim.Engine in
+  let module Runner = Rfdet_harness.Runner in
+  let runner name =
+    (name, Runner.make_policy (Option.get (Runner.runtime_of_name name)))
+  in
+  List.iter
+    (fun (name, make) ->
+      let r = Engine.run make ~main:heal_program in
+      Alcotest.(check (list (pair int int64)))
+        (name ^ ": heals succeed") [ (0, 7L) ] r.Engine.outputs)
+    [
+      runner "pthreads";
+      runner "kendo";
+      runner "dthreads";
+      runner "coredet";
+      runner "rfdet-ci";
+      ("race-detector", fun engine -> fst (Detector.make engine));
+      ("dlrc-model", Rfdet_core.Dlrc_model.make);
+    ]
+
 let suites =
   [
     ( "race-detector",
@@ -166,6 +207,8 @@ let suites =
         Alcotest.test_case "ad hoc flag flagged" `Quick
           test_missing_release_detected;
         Alcotest.test_case "racey is racy" `Quick test_racey_is_racy;
+        Alcotest.test_case "heals on every policy" `Quick
+          test_heals_on_every_policy;
         Alcotest.test_case "all 16 benchmarks race-free" `Slow
           test_benchmarks_race_free;
       ] );

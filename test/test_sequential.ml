@@ -74,8 +74,8 @@ let all_policies () =
   [
     Rfdet_baselines.Pthreads_runtime.make;
     Rfdet_baselines.Kendo_runtime.make;
-    Rfdet_baselines.Dthreads_runtime.make;
-    Rfdet_baselines.Coredet_runtime.make ~quantum:5_000;
+    Rfdet_baselines.Fence_runtime.(make Dthreads);
+    Rfdet_baselines.Fence_runtime.(make (Coredet { quantum = 5_000 }));
     Rfdet_core.Rfdet_runtime.make ~opts:Options.ci;
     Rfdet_core.Rfdet_runtime.make ~opts:Options.pf;
     Rfdet_core.Dlrc_model.make;
