@@ -33,39 +33,22 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
-(* Engine failures escape as exceptions; turn them into a one-line
-   diagnostic and a distinct nonzero exit code instead of a backtrace. *)
-let guard f =
-  try f () with
-  | Engine.Deadlock msg ->
-    Printf.eprintf "rfdet: deadlock: %s\n" msg;
-    exit 2
-  | Engine.Thread_failure (tid, e) ->
-    Printf.eprintf "rfdet: thread %d failed: %s\n" tid (Printexc.to_string e);
-    exit 3
-  | Engine.Runaway ->
-    Printf.eprintf
-      "rfdet: runaway execution: exceeded the engine's max_ops budget \
-       (livelocked policy or unbounded loop)\n";
-    exit 4
-  | Engine.Fatal e ->
-    Printf.eprintf "rfdet: unrecoverable: %s\n"
-      (match e with Failure m -> m | e -> Printexc.to_string e);
-    exit 5
+(* Every command's help lists the exit-code table. *)
+let cmd_info name ~doc = Cmd.info name ~doc ~exits:Exit_code.infos
 
 (* The canonical CLI-name table lives in Runner so journal headers and
    this parser can never drift apart. *)
-let runtime_names = Runner.named_runtimes
+let runtime_names = List.map fst Runner.named_runtimes
 
 let runtime_conv =
   let parse s =
-    match List.assoc_opt s runtime_names with
+    match Runner.runtime_of_name s with
     | Some r -> Ok r
     | None ->
       Error
         (`Msg
           (Printf.sprintf "unknown runtime %S (expected one of: %s)" s
-             (String.concat ", " (List.map fst runtime_names))))
+             (String.concat ", " runtime_names)))
   in
   let print ppf r = Format.pp_print_string ppf (Runner.cli_name r) in
   Arg.conv (parse, print)
@@ -104,15 +87,11 @@ let jobs_arg =
 
 let resolve_jobs = function
   | Some n when n <= 0 ->
-    Printf.eprintf
-      "rfdet: --jobs must be a positive domain count (got %d)\n" n;
-    exit 64
+    Exit_code.(fail usage) "--jobs must be a positive domain count (got %d)" n
   | Some n -> n
   | None -> (
     try Rfdet_par.Par.default_jobs ()
-    with Invalid_argument msg ->
-      Printf.eprintf "rfdet: %s\n" msg;
-      exit 64)
+    with Invalid_argument msg -> Exit_code.(fail usage) "%s" msg)
 
 let scale_arg =
   Arg.(value & opt float 1.0 & info [ "s"; "scale" ] ~doc:"Problem-size multiplier.")
@@ -181,7 +160,7 @@ let run_cmd =
   in
   let action runtime workload threads scale seed input_seed jitter trace
       faults failure_mode profile_json =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     (match faults with
     | Some plan when Fault_plan.has_wildcard plan && jitter > 0. ->
       Printf.eprintf
@@ -244,7 +223,7 @@ let run_cmd =
       & info [ "profile-json" ] ~docv:"FILE"
           ~doc:"Also write the run's profile counters as a JSON object.")
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run one workload under one runtime.")
+  Cmd.v (cmd_info "run" ~doc:"Run one workload under one runtime.")
     Term.(
       const action $ runtime_arg $ workload_arg $ threads_arg $ scale_arg
       $ seed_arg $ input_seed_arg $ jitter_arg $ trace_arg $ fault_plan_arg
@@ -344,16 +323,9 @@ let trace_cmd =
   in
   let split_commas s = String.split_on_char ',' s |> List.map String.trim in
   let parse_window s =
-    match String.split_on_char ':' s with
-    | [ lo; hi ] -> (
-      match (int_of_string_opt lo, int_of_string_opt hi) with
-      | Some lo, Some hi when lo <= hi -> (lo, hi)
-      | _ ->
-        Printf.eprintf "rfdet: --filter-time wants LO:HI integers\n";
-        exit 64)
-    | _ ->
-      Printf.eprintf "rfdet: --filter-time wants LO:HI integers\n";
-      exit 64
+    match List.map int_of_string_opt (String.split_on_char ':' s) with
+    | [ Some lo; Some hi ] when lo <= hi -> (lo, hi)
+    | _ -> Exit_code.(fail usage) "--filter-time wants LO:HI integers"
   in
   let apply_filters ~kinds ~tids ~window events =
     let keep (e : Obs_trace.event) =
@@ -370,7 +342,7 @@ let trace_cmd =
   in
   let action runtime workload threads scale seed input_seed out format ring
       filter_kind filter_tid filter_time =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let r, events, dropped =
       traced_run ~ring runtime workload threads scale seed input_seed
     in
@@ -380,11 +352,9 @@ let trace_cmd =
     | Some ks ->
       List.iter
         (fun k ->
-          if not (List.mem k Obs_trace.kind_names) then begin
-            Printf.eprintf "rfdet: unknown trace kind %S (see: %s)\n" k
-              (String.concat ", " Obs_trace.kind_names);
-            exit 64
-          end)
+          if not (List.mem k Obs_trace.kind_names) then
+            Exit_code.(fail usage) "unknown trace kind %S (see: %s)" k
+              (String.concat ", " Obs_trace.kind_names))
         ks
     | None -> ());
     let tids =
@@ -394,9 +364,7 @@ let trace_cmd =
             (fun t ->
               match int_of_string_opt t with
               | Some t -> t
-              | None ->
-                Printf.eprintf "rfdet: --filter-tid wants integer ids\n";
-                exit 64)
+              | None -> Exit_code.(fail usage) "--filter-tid wants integer ids")
             (split_commas s))
         filter_tid
     in
@@ -417,7 +385,7 @@ let trace_cmd =
     Printf.printf "wrote %s\n" out
   in
   Cmd.v
-    (Cmd.info "trace"
+    (cmd_info "trace"
        ~doc:
          "Run a workload with causal tracing on and export the event \
           stream.  The default format loads directly in Perfetto \
@@ -447,7 +415,7 @@ let profile_cmd =
              trace-derived histograms) as JSON.")
   in
   let action runtime workload threads scale seed input_seed top metrics_json =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let r, events, dropped =
       traced_run runtime workload threads scale seed input_seed
     in
@@ -477,7 +445,7 @@ let profile_cmd =
       Printf.printf "\nwrote %s\n" path
   in
   Cmd.v
-    (Cmd.info "profile"
+    (cmd_info "profile"
        ~doc:
          "Run a workload with causal tracing on and print attribution \
           reports: a Figure-7-style time breakdown (compute / wait / \
@@ -501,9 +469,9 @@ let list_cmd =
           w.Rfdet_workloads.Workload.description)
       Registry.all;
     Printf.printf "\nRuntimes:\n";
-    List.iter (fun (name, _) -> Printf.printf "  %s\n" name) runtime_names
+    List.iter (Printf.printf "  %s\n") runtime_names
   in
-  Cmd.v (Cmd.info "list" ~doc:"List workloads and runtimes.")
+  Cmd.v (cmd_info "list" ~doc:"List workloads and runtimes.")
     Term.(const action $ const ())
 
 (* --- racey ------------------------------------------------------------ *)
@@ -515,14 +483,14 @@ let racey_cmd =
       & info [ "n"; "runs" ] ~doc:"Runs per configuration (paper: 1000).")
   in
   let action runs =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let rows =
       Experiments.racey_determinism ~runs_per_config:runs ()
     in
     print_string (Experiments.render_e1 rows)
   in
   Cmd.v
-    (Cmd.info "racey"
+    (cmd_info "racey"
        ~doc:"Determinism stress test: repeated racey runs (Section 5.1).")
     Term.(const action $ runs_arg)
 
@@ -531,21 +499,7 @@ let racey_cmd =
 module Session = Rfdet_replay.Session
 module Journal = Rfdet_replay.Journal
 module Offline = Rfdet_replay.Offline
-
-(* Journal failures get their own distinct exit codes so CI can gate on
-   "loud, and loud in the right way": 8 a corrupted frame (named by
-   index and byte offset), 9 a torn tail refused by a strict replay,
-   10 a divergent replay or trailer mismatch.  Silent divergence is the
-   one outcome that must be impossible. *)
-let exit_of_replay_error = function
-  | Session.E_corrupt _ -> 8
-  | Session.E_torn _ -> 9
-  | Session.E_bad_header _ -> 64
-  | Session.E_diverged _ | Session.E_mismatch _ -> 10
-
-let fail_replay e =
-  Printf.eprintf "rfdet: %s\n" (Session.describe_error e);
-  exit (exit_of_replay_error e)
+module Trace = Rfdet_check.Trace
 
 let print_summary ?(prefix = "") (s : Session.summary) =
   Printf.printf "%ssignature:   %s\n" prefix s.Session.s_signature;
@@ -585,7 +539,7 @@ let record_cmd =
   in
   let action runtime workload threads scale seed input_seed jitter faults
       failure_mode out =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let spec =
       {
         Session.workload;
@@ -615,7 +569,7 @@ let record_cmd =
        else float_of_int bytes /. float_of_int s.Session.s_decisions)
   in
   Cmd.v
-    (Cmd.info "record"
+    (cmd_info "record"
        ~doc:
          (Printf.sprintf
             "Record a run's arbiter decisions into a minimal binary \
@@ -637,7 +591,7 @@ let replay_cmd =
             "Accept a torn journal (crashed recorder): verify the \
              checksum-valid decision prefix, then deterministically \
              re-execute the remainder from the header's seeds.  Without \
-             this flag a torn tail is refused with exit code 9.")
+             this flag a torn tail is refused.")
   in
   let repeat_arg =
     Arg.(
@@ -656,15 +610,15 @@ let replay_cmd =
           ~doc:"Also write the replayed run's profile counters as JSON.")
   in
   let action path recover repeat jobs profile_json =
-   guard @@ fun () ->
-    if repeat < 1 then begin
-      Printf.eprintf "rfdet: --repeat must be >= 1 (got %d)\n" repeat;
-      exit 64
-    end;
+   Exit_code.guard @@ fun () ->
+    if repeat < 1 then
+      Exit_code.(fail usage) "--repeat must be >= 1 (got %d)" repeat;
     let jobs = resolve_jobs jobs in
     let replay_once () = Session.replay ~recover ~path () in
     let first =
-      match replay_once () with Error e -> fail_replay e | Ok ok -> ok
+      match replay_once () with
+      | Error e -> Exit_code.replay_error e
+      | Ok ok -> ok
     in
     (if repeat > 1 then
        let results =
@@ -674,14 +628,11 @@ let replay_cmd =
        in
        List.iter
          (function
-           | Error e -> fail_replay e
+           | Error e -> Exit_code.replay_error e
            | Ok (ok : Session.ok) ->
-             if ok.Session.r_summary <> first.Session.r_summary then begin
-               Printf.eprintf
-                 "rfdet: repeated replays disagree (nondeterministic \
-                  replayer)\n";
-               exit 10
-             end)
+             if ok.Session.r_summary <> first.Session.r_summary then
+               Exit_code.(fail diverged)
+                 "repeated replays disagree (nondeterministic replayer)")
          results);
     let s = first.Session.r_summary in
     let h = first.Session.r_header in
@@ -690,8 +641,8 @@ let replay_cmd =
     | Some file ->
       write_file file s.Session.s_profile_json;
       Printf.printf "profile json: %s\n" file);
-    Printf.printf "workload:    %s\n" h.Journal.workload;
-    Printf.printf "runtime:     %s\n" h.Journal.runtime;
+    Printf.printf "workload:    %s\n" h.Trace.workload;
+    Printf.printf "runtime:     %s\n" h.Trace.runtime;
     print_summary s;
     Printf.printf "verified:    %d journal decision%s%s\n"
       first.Session.r_verified
@@ -705,16 +656,15 @@ let replay_cmd =
       (if first.Session.r_recovered then " (recovered)" else "")
   in
   Cmd.v
-    (Cmd.info "replay"
+    (cmd_info "replay"
        ~doc:
          (Printf.sprintf
             "Reconstruct a full execution from a recorded decision \
              journal and verify it against the journal byte-for-byte.  \
-             %s  Exit codes: 8 corrupt frame, 9 torn tail (strict), 10 \
-             divergence or trailer mismatch.  Contrast with $(b,rfdet \
-             check --replay), which replays explicit schedule-choice \
-             traces from the model checker; this command replays \
-             recorded production-style runs." journal_arg_doc))
+             %s  Contrast with $(b,rfdet check --replay), which \
+             follows explicit schedule-choice traces from the model \
+             checker; this command verifies the recorded decisions of \
+             production-style runs." journal_arg_doc))
     Term.(
       const action $ journal_pos_arg $ recover_arg $ repeat_arg $ jobs_arg
       $ profile_json_arg)
@@ -760,16 +710,12 @@ let races_cmd =
     | _ -> ()
   in
   let action workload threads scale journal shrink out =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     match (journal, workload) with
     | None, None ->
-      Printf.eprintf "rfdet: races needs a WORKLOAD or --journal FILE\n";
-      exit 64
+      Exit_code.(fail usage) "races needs a WORKLOAD or --journal FILE"
     | None, Some workload ->
-      if shrink then begin
-        Printf.eprintf "rfdet: --shrink requires --journal\n";
-        exit 64
-      end;
+      if shrink then Exit_code.(fail usage) "--shrink requires --journal";
       let cfg =
         { Rfdet_workloads.Workload.threads; scale; input_seed = 42L }
       in
@@ -781,14 +727,9 @@ let races_cmd =
     | Some path, _ -> (
       let header =
         match Journal.scan_file path with
-        | Error e ->
-          Printf.eprintf "rfdet: %s: %s\n" path e;
-          exit 64
+        | Error e -> Exit_code.replay_error (Session.E_unreadable e)
         | Ok (Journal.Corrupt { frame; offset; reason }) ->
-          Printf.eprintf
-            "rfdet: corrupt journal: frame %d at byte offset %d: %s\n" frame
-            offset reason;
-          exit 8
+          Exit_code.replay_error (Session.E_corrupt { frame; offset; reason })
         | Ok (Journal.Torn { header; offset; reason; _ }) ->
           (* detection needs only the (checksum-verified) header, so a
              torn tail is survivable here — but say so out loud *)
@@ -800,29 +741,25 @@ let races_cmd =
         | Ok (Journal.Complete { header; _ }) -> header
       in
       match Offline.detect header with
-      | Error e ->
-        Printf.eprintf "rfdet: %s\n" e;
-        exit 64
+      | Error e -> Exit_code.replay_error (Session.E_bad_header e)
       | Ok report ->
         Printf.printf "journal:     %s\n" path;
         Printf.printf "workload:    %s (%d threads, scale %g, runtime %s)\n"
-          header.Journal.workload header.Journal.threads
-          header.Journal.scale header.Journal.runtime;
+          header.Trace.workload header.Trace.threads header.Trace.scale
+          header.Trace.runtime;
         report_races (Some header) report;
         if shrink then begin
           match Offline.minimize_repro header report with
-          | Error e ->
-            Printf.eprintf "rfdet: shrink: %s\n" e;
-            exit 1
+          | Error e -> Exit_code.(fail check_failed) "shrink: %s" e
           | Ok (tr, tries) ->
-            Rfdet_check.Trace.save tr ~path:out;
+            Trace.save tr ~path:out;
             Printf.printf "shrink:      %d replays; wrote %s\n" tries out;
             Printf.printf "             replay it with: rfdet check \
                            --replay %s\n" out
         end)
   in
   Cmd.v
-    (Cmd.info "races"
+    (cmd_info "races"
        ~doc:
          "Run the happens-before race detector over a workload, or \
           offline over a recorded decision journal ($(b,--journal)); \
@@ -867,7 +804,7 @@ let faults_cmd =
           ~doc:"Mean scheduling-noise cycles per operation.")
   in
   let action runtime workload plan threads scale runs jitter jobs =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let jobs = resolve_jobs jobs in
     let report, crashes =
       (* check_faults rejects wildcard-tid plans under jitter — the
@@ -876,17 +813,15 @@ let faults_cmd =
       try
         Determinism.check_faults ~threads ~scale ~runs ~jitter ~jobs ~plan
           runtime workload
-      with Invalid_argument msg ->
-        Printf.eprintf "rfdet: %s\n" msg;
-        exit 2
+      with Invalid_argument msg -> Exit_code.(fail usage) "%s" msg
     in
     Format.printf "plan:        %a@." Fault_plan.pp plan;
     Format.printf "%a@." Determinism.pp_report report;
     print_crashes crashes;
-    if not report.Determinism.deterministic then exit 1
+    if not report.Determinism.deterministic then Exit_code.(exit check_failed)
   in
   Cmd.v
-    (Cmd.info "faults"
+    (cmd_info "faults"
        ~doc:
          "Fault-determinism check: run a workload repeatedly under \
           scheduling jitter with the same injected fault plan and verify \
@@ -924,7 +859,7 @@ let clinic_cmd =
              lands the crash inside that primitive's protocol.")
   in
   let action workload threads scale max_sites op_class jobs =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let jobs = resolve_jobs jobs in
     let s =
       Rfdet_check.Clinic.sweep ~op_class ~threads ~scale ~max_sites ~jobs
@@ -933,10 +868,10 @@ let clinic_cmd =
     Format.printf "%a@." Rfdet_check.Clinic.pp_summary s;
     if s.Rfdet_check.Clinic.nondeterministic > 0
        || s.Rfdet_check.Clinic.nonconformant > 0
-    then exit 1
+    then Exit_code.(exit check_failed)
   in
   Cmd.v
-    (Cmd.info "clinic"
+    (cmd_info "clinic"
        ~doc:
          "Crash clinic: inject one crash at every operation index of a \
           workload, under both containment and deterministic recovery, \
@@ -965,7 +900,7 @@ let bench_cmd =
           ~doc:"Where $(b,--json) writes the record.")
   in
   let action json out jobs =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let jobs = resolve_jobs jobs in
     let r =
       Rfdet_harness.Bench_core.run ~jobs
@@ -978,7 +913,7 @@ let bench_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "bench"
+    (cmd_info "bench"
        ~doc:
          "Benchmark the memory-pipeline primitives (word-level page diff, \
           blit-based apply, string I/O, snapshot pooling) and two \
@@ -1071,15 +1006,13 @@ let check_cmd =
     Arg.(value & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
   in
   let do_replay path =
-    match Rfdet_check.Trace.load ~path with
-    | Error e ->
-      Printf.eprintf "rfdet: %s: %s\n" path e;
-      exit 64
+    match Trace.load ~path with
+    | Error e -> Exit_code.(fail usage) "%s: %s" path e
     | Ok tr -> (
       let r = Rfdet_check.Explore.replay ~strict:false tr in
+      let h = tr.Trace.header in
       Printf.printf "workload:   %s (%d threads, runtime %s)\n"
-        tr.Rfdet_check.Trace.workload tr.Rfdet_check.Trace.threads
-        tr.Rfdet_check.Trace.runtime;
+        h.Trace.workload h.Trace.threads h.Trace.runtime;
       Printf.printf "choices:    %s\n"
         (String.concat " "
            (List.map string_of_int r.Rfdet_check.Explore.r_choices));
@@ -1089,7 +1022,7 @@ let check_cmd =
           (Option.value r.Rfdet_check.Explore.r_signature ~default:"-")
       | Some e ->
         Printf.printf "replay FAIL: %s\n" e;
-        exit 1)
+        Exit_code.(exit diverged))
   in
   let do_single wl threads jobs sample bug bug_lost shrinkf out =
     let opts =
@@ -1128,28 +1061,25 @@ let check_cmd =
         | None ->
           Printf.printf "shrink: the failure did not reproduce on replay\n"
         | Some { Rfdet_check.Shrink.minimized; reason; tries } ->
-          Rfdet_check.Trace.save minimized ~path:out;
+          Trace.save minimized ~path:out;
           Printf.printf "shrink:        %d -> %d choices in %d replays\n"
-            (List.length f_trace.Rfdet_check.Trace.choices)
-            (List.length minimized.Rfdet_check.Trace.choices)
+            (List.length f_trace.Trace.choices)
+            (List.length minimized.Trace.choices)
             tries;
           Printf.printf "               %s\nwrote %s\n" reason out
       end;
-      exit 1
+      Exit_code.(exit check_failed)
   in
   let action exhaustive sample shrinkf replay_file bug bug_lost out corpus
       workload threads jobs =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let jobs = resolve_jobs jobs in
     match (replay_file, workload) with
     | Some path, _ -> do_replay path
     | None, Some wl -> do_single wl threads jobs sample bug bug_lost shrinkf out
     | None, None ->
-      if bug <> None || bug_lost <> None then begin
-        Printf.eprintf
-          "rfdet: --bug-window/--bug-lost require a WORKLOAD\n";
-        exit 64
-      end;
+      if bug <> None || bug_lost <> None then
+        Exit_code.(fail usage) "--bug-window/--bug-lost require a WORKLOAD";
       let corpus_dir =
         match corpus with
         | Some d -> Some d
@@ -1180,16 +1110,16 @@ let check_cmd =
           if shrinkf then begin
             match Rfdet_check.Shrink.shrink f_trace with
             | Some { Rfdet_check.Shrink.minimized; _ } ->
-              Rfdet_check.Trace.save minimized ~path:out;
+              Trace.save minimized ~path:out;
               Printf.printf "wrote %s\n" out
             | None -> ()
           end
         | [] -> ());
-        exit 1
+        Exit_code.(exit check_failed)
       end
   in
   Cmd.v
-    (Cmd.info "check"
+    (cmd_info "check"
        ~doc:
          "Systematic schedule exploration under the DLRC conformance \
           oracle: enumerate (or sample) synchronization interleavings, \
@@ -1226,14 +1156,14 @@ let experiment_cmd =
     | `All -> assert false
   in
   let action name =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     match name with
     | `All ->
       List.iter run_one [ `E1; `Fig7; `Table1; `Fig8; `Fig9; `E6; `E7 ]
     | x -> run_one x
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a table or figure of the paper.")
+    (cmd_info "experiment" ~doc:"Regenerate a table or figure of the paper.")
     Term.(const action $ name_arg)
 
 
@@ -1380,13 +1310,10 @@ let serve_cmd =
   in
   let action runtime requests rate workers shards deadline seed input_seed
       faults failure_mode sweep rw json jobs =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let jobs = resolve_jobs jobs in
     if rw then begin
-      if sweep then begin
-        Printf.eprintf "rfdet: --rw does not support --sweep\n";
-        exit 64
-      end;
+      if sweep then Exit_code.(fail usage) "--rw does not support --sweep";
       let r, rep =
         run_one_rw runtime ~seed ~input_seed ~faults ~failure_mode ~requests
           ~rate ~workers ~shards ~deadline
@@ -1399,9 +1326,7 @@ let serve_cmd =
       print_crashes r.Runner.crashes;
       match json with
       | None -> ()
-      | Some _ ->
-        Printf.eprintf "rfdet: --rw does not support --json\n";
-        exit 64
+      | Some _ -> Exit_code.(fail usage) "--rw does not support --json"
     end
     else if sweep then begin
       (* compute the whole sweep, then print: rows render in rate order
@@ -1450,7 +1375,7 @@ let serve_cmd =
           ~doc:"Traffic generator seed (an input of the run).")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (cmd_info "serve"
        ~doc:
          "Drive the deterministic KV server and print its \
           latency/shed/retry report.  Same seed and fault plan give a \
@@ -1466,10 +1391,11 @@ let serve_cmd =
 (* Request-level observability for the KV servers: run with the inert
    sink on, fold the causal trace into per-request span trees, walk each
    tree's critical path (segments must sum bit-exactly to the measured
-   latency — violation is exit code 7, not a warning) and print cohort
-   attribution plus top-k exemplars.  Every number below is a virtual
-   per-worker cycle, so the whole output — tree renders included — is
-   byte-identical across runtimes, --jobs counts and repeat runs. *)
+   latency — a violation fails the command, it is not a warning) and
+   print cohort attribution plus top-k exemplars.  Every number below is
+   a virtual per-worker cycle, so the whole output — tree renders
+   included — is byte-identical across runtimes, --jobs counts and
+   repeat runs. *)
 let spans_cmd =
   let module Server = Rfdet_server.Server in
   let module Rwserve = Rfdet_server.Rwserve in
@@ -1556,7 +1482,7 @@ let spans_cmd =
   in
   let action runtime requests rate workers shards deadline seed input_seed
       faults failure_mode rw top crit pct json ring jobs =
-   guard @@ fun () ->
+   Exit_code.guard @@ fun () ->
     let jobs = resolve_jobs jobs in
     let shards = max shards workers in
     let obs = Sink.create ~capacity:ring () in
@@ -1647,9 +1573,8 @@ let spans_cmd =
         (function
           | Ok a -> a
           | Error msg ->
-            Printf.eprintf
-              "rfdet: critical-path invariant violated: %s\n" msg;
-            exit 7)
+            Exit_code.(fail critical_path)
+              "critical-path invariant violated: %s" msg)
         walked
     in
     Printf.printf "runtime         %s\n" r.Runner.runtime;
@@ -1722,15 +1647,16 @@ let spans_cmd =
       Printf.printf "\nspans json: %s\n" path
   in
   Cmd.v
-    (Cmd.info "spans"
+    (cmd_info "spans"
        ~doc:
          "Run the deterministic KV server with request-level span \
           tracing on and print critical-path latency attribution: \
           per-cohort (p50/p99/p999) segment shares and top-k \
           slowest/deepest exemplar span trees with replay coordinates.  \
           Segment cycles sum bit-exactly to each request's measured \
-          latency (violations exit 7), spans never perturb the run (the \
-          signature matches an untraced serve), and the output is \
+          latency (a violation fails the command), spans never perturb \
+          the run (the signature matches an untraced serve), and the \
+          output is \
           byte-identical across runtimes, $(b,--jobs) counts and repeat \
           runs.")
     Term.(
@@ -1741,7 +1667,7 @@ let spans_cmd =
 
 let () =
   let doc = "RFDet: deterministic multithreading without global barriers" in
-  let info = Cmd.info "rfdet" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "rfdet" ~version:"1.0.0" ~doc ~exits:Exit_code.infos in
   exit
     (Cmd.eval
        (Cmd.group info

@@ -40,4 +40,9 @@ val conformance :
     depend on its siblings); the summary is byte-identical for every
     [jobs] value. *)
 
+val replay_corpus : string -> (string * string option) list
+(** Replay every [*.trace] file of a directory, in name order, with
+    [Explore.replay ~strict:false]: [(file, None)] when clean, else
+    [(file, Some error)].  An unreadable directory yields []. *)
+
 val pp_summary : Format.formatter -> summary -> unit

@@ -6,6 +6,7 @@ module Workload = Rfdet_workloads.Workload
 module Registry = Rfdet_workloads.Registry
 module Det_rng = Rfdet_util.Det_rng
 module Par = Rfdet_par.Par
+module Runner = Rfdet_harness.Runner
 
 type config = {
   opts : Options.t;
@@ -251,6 +252,57 @@ let run_once ?policy_override ~(cfg : config) ~(wl : Workload.t)
 
 let choices_of run = Array.to_list (Array.map (fun p -> p.p_chosen) run.points)
 
+(* The failure a finished run reports; [None] for a clean or pruned run. *)
+let failure_of = function
+  | R_ok _ | R_pruned -> None
+  | R_oracle m -> Some ("oracle divergence: " ^ m)
+  | R_deadlock m -> Some ("deadlock: " ^ m)
+  | R_mismatch m -> Some ("replay mismatch: " ^ m)
+  | R_error m -> Some m
+
+(* The header of every trace the explorer writes: [run_once] runs each
+   schedule with scheduler seed 1, no jitter and the engine's default
+   [Abort] failure mode, with no fault plan. *)
+let header (cfg : config) workload =
+  {
+    Trace.workload;
+    threads = cfg.threads;
+    scale = cfg.scale;
+    input_seed = cfg.input_seed;
+    sched_seed = 1L;
+    jitter = 0.;
+    runtime = Runner.cli_name (Runner.Rfdet cfg.opts);
+    fault_mode = "abort";
+    fault_plan = None;
+  }
+
+let max_recorded_failures = 100
+
+(* Fold one finished schedule into the reference signature and the
+   failure list (the first [max_recorded_failures] failures, newest
+   first). *)
+let judge ~cfg ~(wl : Workload.t) ~reference ~failures run =
+  let fail reason =
+    if List.length !failures < max_recorded_failures then
+      let f_trace =
+        {
+          Trace.header = header cfg wl.Workload.name;
+          choices = choices_of run;
+          expect = !reference;
+          note = Some reason;
+        }
+      in
+      failures := { f_trace; f_reason = reason } :: !failures
+  in
+  match run.ro with
+  | R_ok s -> (
+    match !reference with
+    | None -> reference := Some s
+    | Some r when r <> s ->
+      fail (Printf.sprintf "signature divergence: %s <> reference %s" s r)
+    | Some _ -> ())
+  | ro -> Option.iter fail (failure_of ro)
+
 (* ---------- exhaustive DFS ---------- *)
 
 type work = { wi_prefix : int array; wi_birth : (int * footprint) list }
@@ -306,8 +358,6 @@ let expand ~(cfg : config) ~prune ~streams ~(run : run) ~prefix_len ~push =
     List.iter push (List.rev items)
   done
 
-let max_recorded_failures = 100
-
 let explore ?(config = default_config) wl =
   let cfg = config in
   let streams = Hashtbl.create 64 in
@@ -318,18 +368,6 @@ let explore ?(config = default_config) wl =
   let truncated = ref false in
   let reference = ref None in
   let failures = ref [] in
-  let nfailures = ref 0 in
-  let record_failure run reason =
-    incr nfailures;
-    if !nfailures <= max_recorded_failures then
-      let f_trace =
-        Trace.make ~workload:wl.Workload.name ~threads:cfg.threads
-          ~scale:cfg.scale ~input_seed:cfg.input_seed
-          ~runtime:(Options.name cfg.opts) ~choices:(choices_of run)
-          ?expect:!reference ~note:reason ()
-      in
-      failures := { f_trace; f_reason = reason } :: !failures
-  in
   let continue = ref true in
   while !continue do
     match !stack with
@@ -349,22 +387,10 @@ let explore ?(config = default_config) wl =
       | _ ->
         incr schedules;
         deepest := max !deepest (Array.length run.points);
-        (match run.ro with
-        | R_pruned -> ()
-        | R_ok s -> (
-          match !reference with
-          | None -> reference := Some s
-          | Some r when r <> s ->
-            record_failure run
-              (Printf.sprintf "signature divergence: %s <> reference %s" s r)
-          | Some _ -> ())
-        | R_oracle m -> record_failure run ("oracle divergence: " ^ m)
-        | R_deadlock m -> record_failure run ("deadlock: " ^ m)
-        | R_mismatch m ->
-          (* a strict prefix failed to replay: the per-thread op streams
-             themselves depended on the schedule — nondeterminism *)
-          record_failure run ("prefix replay mismatch: " ^ m)
-        | R_error m -> record_failure run m);
+        (* a strict prefix that fails to replay ([R_mismatch]) means the
+           per-thread op streams themselves depended on the schedule —
+           nondeterminism *)
+        judge ~cfg ~wl ~reference ~failures run;
         expand ~cfg ~prune:cfg.prune ~streams ~run
           ~prefix_len:(Array.length item.wi_prefix)
           ~push:(fun wi -> stack := wi :: !stack))
@@ -389,16 +415,6 @@ let sample ?(config = default_config) ?(jobs = 1) ~seed ~n wl =
   let deepest = ref 0 in
   let reference = ref None in
   let failures = ref [] in
-  let record_failure run reason =
-    if List.length !failures < max_recorded_failures then
-      let f_trace =
-        Trace.make ~workload:wl.Workload.name ~threads:cfg.threads
-          ~scale:cfg.scale ~input_seed:cfg.input_seed
-          ~runtime:(Options.name cfg.opts) ~choices:(choices_of run)
-          ?expect:!reference ~note:reason ()
-      in
-      failures := { f_trace; f_reason = reason } :: !failures
-  in
   (* With pruning off nothing ever reads the learned-footprint table, so
      each schedule gets its own: a sampled run is a pure function of its
      mode, which is what lets the walks execute on concurrent domains. *)
@@ -409,19 +425,7 @@ let sample ?(config = default_config) ?(jobs = 1) ~seed ~n wl =
   let fold run =
     incr schedules;
     deepest := max !deepest (Array.length run.points);
-    match run.ro with
-    | R_ok s -> (
-      match !reference with
-      | None -> reference := Some s
-      | Some r when r <> s ->
-        record_failure run
-          (Printf.sprintf "signature divergence: %s <> reference %s" s r)
-      | Some _ -> ())
-    | R_oracle m -> record_failure run ("oracle divergence: " ^ m)
-    | R_deadlock m -> record_failure run ("deadlock: " ^ m)
-    | R_mismatch m -> record_failure run ("replay mismatch: " ^ m)
-    | R_error m -> record_failure run m
-    | R_pruned -> ()
+    judge ~cfg ~wl ~reference ~failures run
   in
   (* the default schedule provides the reference signature *)
   fold (run_of M_default);
@@ -449,125 +453,92 @@ type replay_result = {
   r_error : string option;
 }
 
-let options_of_name n =
-  List.find_opt
-    (fun o -> Options.name o = n)
-    [ Options.ci; Options.pf; Options.baseline_no_opt ]
-
 let detector_runtime = "race-detector"
 
-(* Replay a trace whose runtime is the happens-before race detector: run
-   the workload under [Race_detector.make] with the trace's choices
-   prescribed, and report the race-set digest as the signature.  The
+(* The trace's workload and the options its runtime names.  The explorer
+   varies only the schedule, so a header whose engine settings differ
+   from those [header] writes is rejected, naming the field. *)
+let resolve ?opts (h : Trace.header) =
+  let fixed = header default_config h.Trace.workload in
+  let differs =
+    List.find_opt snd
+      [
+        ("sched-seed", h.Trace.sched_seed <> fixed.Trace.sched_seed);
+        ("jitter", h.Trace.jitter <> fixed.Trace.jitter);
+        ("fault-mode", h.Trace.fault_mode <> fixed.Trace.fault_mode);
+        ("fault-plan", h.Trace.fault_plan <> fixed.Trace.fault_plan);
+      ]
+  in
+  let runtime = h.Trace.runtime in
+  match (Registry.find h.Trace.workload, differs) with
+  | exception Invalid_argument e -> Error e
+  | _, Some (key, _) ->
+    Error
+      (Printf.sprintf
+         "trace header sets %s, which the explorer does not vary (it writes \
+          sched-seed 1, jitter 0, fault-mode abort and no fault-plan)"
+         key)
+  | wl, None -> (
+    match (opts, Runner.runtime_of_name runtime) with
+    | _ when runtime = detector_runtime -> Ok (wl, Options.ci)
+    | Some o, _ | None, Some (Runner.Rfdet o) -> Ok (wl, o)
+    | None, Some _ ->
+      Error (Printf.sprintf "runtime %S is not an RFDet configuration" runtime)
+    | None, None -> Error (Printf.sprintf "unknown runtime %S" runtime))
+
+(* A trace whose runtime is the happens-before race detector runs the
+   workload under [Race_detector.make] with the trace's choices
+   prescribed, and reports the race-set digest as the signature.  The
    detector's synchronization order is Kendo-stamped (icount-based), so
    the digest is schedule-invariant — which is exactly what lets the
    ddmin shrinker cut a recorded choice list down to (near) nothing and
    still reproduce the race set: the minimal repro for a race under DLRC
    is the workload itself. *)
-let replay_detector ~strict (tr : Trace.t) =
-  match Registry.find tr.Trace.workload with
-  | exception Not_found ->
-    {
-      r_signature = None;
-      r_choices = [];
-      r_error = Some (Printf.sprintf "unknown workload %S" tr.Trace.workload);
-    }
-  | wl -> (
-    let cfg =
-      {
-        default_config with
-        threads = tr.Trace.threads;
-        scale = tr.Trace.scale;
-        input_seed = tr.Trace.input_seed;
-        oracle = false;
-      }
-    in
+let replay ?(strict = true) ?(oracle = true) ?opts (tr : Trace.t) =
+  let h = tr.Trace.header in
+  match resolve ?opts h with
+  | Error e -> { r_signature = None; r_choices = []; r_error = Some e }
+  | Ok (wl, opts) -> (
+    let detector = h.Trace.runtime = detector_runtime in
     let report = ref None in
-    let policy_override eng =
+    let race_detector eng =
       let policy, rep = Rfdet_detect.Race_detector.make eng in
       report := Some rep;
       policy
     in
-    let run =
-      run_once ~policy_override ~cfg ~wl ~streams:(Hashtbl.create 16)
-        ~prescribed:(Array.of_list tr.Trace.choices) ~birth_sleep:[] ~strict
-        ~mode:M_default ~prune:false ()
-    in
-    let r_choices = choices_of run in
-    match run.ro with
-    | R_ok _ ->
-      let digest =
-        match !report with
-        | Some rep -> Rfdet_detect.Race_detector.digest (rep ())
-        | None -> assert false
-      in
-      let r_error =
-        match tr.Trace.expect with
-        | Some e when e <> digest ->
-          Some (Printf.sprintf "race digest %s <> expected %s" digest e)
-        | _ -> None
-      in
-      { r_signature = Some digest; r_choices; r_error }
-    | R_oracle m ->
-      { r_signature = None; r_choices; r_error = Some ("oracle divergence: " ^ m) }
-    | R_deadlock m ->
-      { r_signature = None; r_choices; r_error = Some ("deadlock: " ^ m) }
-    | R_mismatch m ->
-      { r_signature = None; r_choices; r_error = Some ("replay mismatch: " ^ m) }
-    | R_error m -> { r_signature = None; r_choices; r_error = Some m }
-    | R_pruned -> { r_signature = None; r_choices; r_error = Some "pruned" })
-
-let replay ?(strict = true) ?(oracle = true) ?opts (tr : Trace.t) =
-  if tr.Trace.runtime = detector_runtime then replay_detector ~strict tr
-  else
-  let wl =
-    match Registry.find tr.Trace.workload with
-    | wl -> Ok wl
-    | exception Not_found ->
-      Error (Printf.sprintf "unknown workload %S" tr.Trace.workload)
-  in
-  let opts =
-    match opts with
-    | Some o -> Ok o
-    | None -> (
-      match options_of_name tr.Trace.runtime with
-      | Some o -> Ok o
-      | None -> Error (Printf.sprintf "unknown runtime %S" tr.Trace.runtime))
-  in
-  match (wl, opts) with
-  | Error e, _ | _, Error e ->
-    { r_signature = None; r_choices = []; r_error = Some e }
-  | Ok wl, Ok opts -> (
     let cfg =
       {
         default_config with
         opts;
-        threads = tr.Trace.threads;
-        scale = tr.Trace.scale;
-        input_seed = tr.Trace.input_seed;
-        oracle;
+        threads = h.Trace.threads;
+        scale = h.Trace.scale;
+        input_seed = h.Trace.input_seed;
+        oracle = oracle && not detector;
       }
     in
     let run =
-      run_once ~cfg ~wl ~streams:(Hashtbl.create 16)
+      run_once
+        ?policy_override:(if detector then Some race_detector else None)
+        ~cfg ~wl ~streams:(Hashtbl.create 16)
         ~prescribed:(Array.of_list tr.Trace.choices) ~birth_sleep:[] ~strict
         ~mode:M_default ~prune:false ()
     in
     let r_choices = choices_of run in
     match run.ro with
     | R_ok s ->
+      let what, s =
+        match !report with
+        | Some rep ->
+          ("race digest", Rfdet_detect.Race_detector.digest (rep ()))
+        | None -> ("signature", s)
+      in
       let r_error =
         match tr.Trace.expect with
         | Some e when e <> s ->
-          Some (Printf.sprintf "signature %s <> expected %s" s e)
+          Some (Printf.sprintf "%s %s <> expected %s" what s e)
         | _ -> None
       in
       { r_signature = Some s; r_choices; r_error }
-    | R_oracle m ->
-      { r_signature = None; r_choices; r_error = Some ("oracle divergence: " ^ m) }
-    | R_deadlock m ->
-      { r_signature = None; r_choices; r_error = Some ("deadlock: " ^ m) }
-    | R_mismatch m ->
-      { r_signature = None; r_choices; r_error = Some ("replay mismatch: " ^ m) }
-    | R_error m -> { r_signature = None; r_choices; r_error = Some m }
-    | R_pruned -> { r_signature = None; r_choices; r_error = Some "pruned" })
+    | ro ->
+      let e = Option.value (failure_of ro) ~default:"pruned" in
+      { r_signature = None; r_choices; r_error = Some e })

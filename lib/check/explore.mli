@@ -83,6 +83,13 @@ val hunt : ?config:config -> Rfdet_workloads.Workload.t -> stats
 (** [explore] with pruning off — complete even against bugs that break
     object-wise commutativity (like [Options.bug_drop_window]). *)
 
+val header : config -> string -> Trace.header
+(** [header config workload] is the header of a trace the explorer
+    writes: [config]'s threads, scale and input seed, the runtime
+    [Runner.cli_name (Rfdet config.opts)], and the engine settings every
+    explored schedule runs under — [sched-seed 1], [jitter 0],
+    [fault-mode abort] and no fault plan. *)
+
 type replay_result = {
   r_signature : string option;  (** [None] when the run died *)
   r_choices : int list;  (** full recorded choice sequence of the run *)
@@ -109,11 +116,14 @@ val replay :
     they run out (or, when [strict] is [false], whenever a prescribed
     tid is not ready) the deterministic default choice is used.  With
     [strict] (default [true]) an unavailable prescribed tid is an
-    error.  [oracle] defaults to [true].  [opts] overrides the options
-    the trace's [runtime] name resolves to — the only way to replay
-    under [Options.bug_drop_window], which the name does not encode.
-    If the trace carries an [expect] signature, a clean run with a
-    different signature is reported in [r_error].  A trace whose runtime
-    is [detector_runtime] replays under the race detector instead;
-    [oracle] and [opts] are then ignored and the signature is the race
-    digest. *)
+    error.  [oracle] defaults to [true].  The trace's [runtime] resolves
+    through [Runner.runtime_of_name] and must name an RFDet
+    configuration; [opts] overrides it — the only way to replay under
+    [Options.bug_drop_window], which the name does not encode.  A header
+    whose [sched-seed], [jitter], [fault-mode] or [fault-plan] differs
+    from what {!header} writes is rejected in [r_error], naming the
+    field.  If the trace carries an [expect] signature, a clean run with
+    a different signature is reported in [r_error].  A trace whose
+    runtime is [detector_runtime] replays under the race detector
+    instead; [oracle] and [opts] are then ignored and the signature is
+    the race digest. *)

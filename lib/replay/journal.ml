@@ -1,19 +1,8 @@
+module Trace = Rfdet_check.Trace
+
 let magic = "RFDJ"
 
-let format_version = 1
-
-type header = {
-  format : int;
-  workload : string;
-  threads : int;
-  scale : float;
-  input_seed : int64;
-  sched_seed : int64;
-  jitter : float;
-  runtime : string;
-  fault_mode : string;
-  fault_plan : string option;
-}
+type header = Trace.header
 
 type trailer = {
   signature : string;
@@ -83,42 +72,17 @@ let write_frame w ~tag ~payload =
   output_bytes w.oc cb;
   w.seq <- w.seq + 1
 
-let header_payload (h : header) =
-  let b = Buffer.create 256 in
-  let line k v =
-    Buffer.add_string b k;
-    Buffer.add_char b ' ';
-    Buffer.add_string b v;
-    Buffer.add_char b '\n'
-  in
-  line "format" (string_of_int h.format);
-  line "workload" h.workload;
-  line "threads" (string_of_int h.threads);
-  line "scale" (Printf.sprintf "%h" h.scale);
-  line "input-seed" (Int64.to_string h.input_seed);
-  line "sched-seed" (Int64.to_string h.sched_seed);
-  line "jitter" (Printf.sprintf "%h" h.jitter);
-  line "runtime" h.runtime;
-  line "fault-mode" h.fault_mode;
-  (match h.fault_plan with None -> () | Some p -> line "fault-plan" p);
-  Buffer.contents b
-
 let trailer_payload (t : trailer) =
-  let b = Buffer.create 256 in
-  let line k v =
-    Buffer.add_string b k;
-    Buffer.add_char b ' ';
-    Buffer.add_string b v;
-    Buffer.add_char b '\n'
-  in
-  line "signature" t.signature;
-  line "outputs-checksum" t.outputs_checksum;
-  line "ops" (string_of_int t.ops);
-  line "sim-time" (string_of_int t.sim_time);
-  line "decisions" (string_of_int t.decisions);
-  line "threads" (string_of_int t.threads_made);
-  line "profile-fnv" (Printf.sprintf "%Lx" t.profile_fnv);
-  Buffer.contents b
+  Trace.fields_to_string
+    [
+      ("signature", t.signature);
+      ("outputs-checksum", t.outputs_checksum);
+      ("ops", string_of_int t.ops);
+      ("sim-time", string_of_int t.sim_time);
+      ("decisions", string_of_int t.decisions);
+      ("threads", string_of_int t.threads_made);
+      ("profile-fnv", Printf.sprintf "%Lx" t.profile_fnv);
+    ]
 
 let create ~path header =
   let oc = open_out_bin path in
@@ -135,7 +99,7 @@ let create ~path header =
       closed = false;
     }
   in
-  write_frame w ~tag:'H' ~payload:(header_payload header);
+  write_frame w ~tag:'H' ~payload:(Trace.header_to_string header);
   flush oc;
   w
 
@@ -200,81 +164,18 @@ exception Truncated_at of int * string
 (* structural damage inside verified bytes — corruption *)
 exception Bad of string
 
-let parse_kv payload =
-  String.split_on_char '\n' payload
-  |> List.filter (fun l -> l <> "")
-  |> List.map (fun l ->
-         match String.index_opt l ' ' with
-         | Some i ->
-           (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
-         | None -> (l, ""))
-
-let header_of_payload payload =
-  let kv = parse_kv payload in
-  let get k =
-    match List.assoc_opt k kv with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "header is missing %S" k))
-  in
-  let int k =
-    match int_of_string_opt (get k) with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "header %s is not an integer" k))
-  in
-  let i64 k =
-    match Int64.of_string_opt (get k) with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "header %s is not an int64" k))
-  in
-  let fl k =
-    match float_of_string_opt (get k) with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "header %s is not a float" k))
-  in
-  let format = int "format" in
-  if format <> format_version then
-    raise
-      (Bad
-         (Printf.sprintf "unsupported journal format %d (this build reads %d)"
-            format format_version));
-  {
-    format;
-    workload = get "workload";
-    threads = int "threads";
-    scale = fl "scale";
-    input_seed = i64 "input-seed";
-    sched_seed = i64 "sched-seed";
-    jitter = fl "jitter";
-    runtime = get "runtime";
-    fault_mode = get "fault-mode";
-    fault_plan = List.assoc_opt "fault-plan" kv;
-  }
-
 let trailer_of_payload payload =
-  let kv = parse_kv payload in
-  let get k =
-    match List.assoc_opt k kv with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "trailer is missing %S" k))
-  in
-  let int k =
-    match int_of_string_opt (get k) with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "trailer %s is not an integer" k))
-  in
-  let profile_fnv =
-    match Int64.of_string_opt ("0x" ^ get "profile-fnv") with
-    | Some v -> v
-    | None -> raise (Bad "trailer profile-fnv is not a hex int64")
-  in
+  let kv = Trace.fields_of_string payload in
+  let get conv key = Trace.field ~what:"trailer" kv key conv in
+  let int = get int_of_string_opt in
   {
-    signature = get "signature";
-    outputs_checksum = get "outputs-checksum";
+    signature = get Option.some "signature";
+    outputs_checksum = get Option.some "outputs-checksum";
     ops = int "ops";
     sim_time = int "sim-time";
     decisions = int "decisions";
     threads_made = int "threads";
-    profile_fnv;
+    profile_fnv = get (fun v -> Int64.of_string_opt ("0x" ^ v)) "profile-fnv";
   }
 
 (* a growing int array for the decision stream (journals can carry
@@ -370,7 +271,10 @@ let scan_string s =
                      dropped frame)"
                     seq !frame)));
         (match (tag, !header) with
-        | 'H', None -> header := Some (header_of_payload payload)
+        | 'H', None -> (
+          match Trace.header_of_string payload with
+          | Ok h -> header := Some h
+          | Error e -> raise (Bad e))
         | 'H', Some _ -> raise (Bad "duplicate header frame")
         | _, None -> raise (Bad "journal does not start with a header frame")
         | 'D', Some _ ->
@@ -395,7 +299,9 @@ let scan_string s =
                      carries %d)"
                     count decisions.len));
           synced := count
-        | 'T', Some _ -> trailer := Some (trailer_of_payload payload)
+        | 'T', Some _ -> (
+          try trailer := Some (trailer_of_payload payload)
+          with Failure e -> raise (Bad e))
         | tag, Some _ ->
           raise (Bad (Printf.sprintf "unknown frame tag %C" tag)));
         incr frame

@@ -20,10 +20,11 @@
     of everything from [tag] through the end of [payload], stored
     little-endian.  Frame tags:
 
-    - ['H'] (frame 0, exactly once): the header as [key value] text
-      lines — format version, workload, threads, scale, input/sched
-      seeds, jitter, runtime, fault mode, optional fault plan.  Floats
-      are printed as hex floats so the round-trip is lossless.
+    - ['H'] (frame 0, exactly once): the run header as
+      {!Rfdet_check.Trace.header_to_string} writes it — format version,
+      workload, threads, scale, input/sched seeds, jitter, runtime,
+      fault mode, optional fault plan as [key value] lines, the same
+      lines a text schedule trace opens with.
     - ['D']: a decision batch — varint count, then count varint tids
       (the [d_chosen] of consecutive {!Rfdet_sim.Engine.decision}s).
       Ready sets are not stored: replay re-derives them and verifies
@@ -49,20 +50,7 @@
 
 val magic : string
 
-val format_version : int
-
-type header = {
-  format : int;
-  workload : string;
-  threads : int;
-  scale : float;
-  input_seed : int64;
-  sched_seed : int64;
-  jitter : float;
-  runtime : string;  (** a [Rfdet_harness.Runner.named_runtimes] name *)
-  fault_mode : string;  (** ["abort"], ["contain"] or ["recover"] *)
-  fault_plan : string option;  (** [Rfdet_fault.Fault_plan.to_string] *)
-}
+type header = Rfdet_check.Trace.header
 
 type trailer = {
   signature : string;

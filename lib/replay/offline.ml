@@ -10,7 +10,7 @@ module Shrink = Rfdet_check.Shrink
 
 let detect (h : Journal.header) =
   match Registry.find h.workload with
-  | exception Not_found -> Error (Printf.sprintf "unknown workload %S" h.workload)
+  | exception Invalid_argument e -> Error e
   | wl ->
     let cfg =
       {
@@ -27,9 +27,24 @@ let minimize_repro (h : Journal.header) (report : Race.report) =
   else begin
     let digest = Race.digest report in
     let base =
-      Trace.make ~workload:h.workload ~threads:h.threads ~scale:h.scale
-        ~input_seed:h.input_seed ~runtime:Explore.detector_runtime ~choices:[]
-        ~expect:digest ()
+      let cfg =
+        {
+          Explore.default_config with
+          threads = h.threads;
+          scale = h.scale;
+          input_seed = h.input_seed;
+        }
+      in
+      {
+        Trace.header =
+          {
+            (Explore.header cfg h.workload) with
+            runtime = Explore.detector_runtime;
+          };
+        choices = [];
+        expect = Some digest;
+        note = None;
+      }
     in
     (* capture the full default choice list of one detector run, then
        ddmin it under "the race digest is preserved" *)

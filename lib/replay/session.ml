@@ -30,8 +30,7 @@ let fault_mode_of_name = function
 
 let header_of_spec (spec : spec) : Journal.header =
   {
-    format = Journal.format_version;
-    workload = spec.workload.Workload.name;
+    Rfdet_check.Trace.workload = spec.workload.Workload.name;
     threads = spec.threads;
     scale = spec.scale;
     input_seed = spec.input_seed;
@@ -47,8 +46,7 @@ let spec_of_header (h : Journal.header) : (spec, string) result =
   let* workload =
     match Registry.find h.workload with
     | wl -> Ok wl
-    | exception Not_found ->
-      Error (Printf.sprintf "unknown workload %S" h.workload)
+    | exception Invalid_argument e -> Error e
   in
   let* runtime =
     match Runner.runtime_of_name h.runtime with
@@ -136,6 +134,7 @@ let record ~path (spec : spec) =
 type error =
   | E_corrupt of { frame : int; offset : int; reason : string }
   | E_torn of { offset : int; reason : string; decoded : int; synced : int }
+  | E_unreadable of string
   | E_bad_header of string
   | E_diverged of { index : int; expected : int; got : int }
   | E_mismatch of string list
@@ -149,6 +148,7 @@ let describe_error = function
       "torn journal: %s at byte offset %d (%d decisions decoded, %d synced); \
        rerun with --recover to reconstruct from the verified prefix"
       reason offset decoded synced
+  | E_unreadable e -> "cannot read journal " ^ e
   | E_bad_header e -> "unusable journal header: " ^ e
   | E_diverged { index; expected; got } ->
     Printf.sprintf
@@ -241,7 +241,7 @@ let run_verified ~recovered header (decisions : int array) trailer_opt =
 
 let replay ?(recover = false) ~path () =
   match Journal.scan_file path with
-  | Error e -> Error (E_bad_header e)
+  | Error e -> Error (E_unreadable e)
   | Ok (Journal.Corrupt { frame; offset; reason }) ->
     Error (E_corrupt { frame; offset; reason })
   | Ok (Journal.Torn { decisions; synced; offset; reason; _ }) when not recover

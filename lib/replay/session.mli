@@ -8,13 +8,15 @@
     ops, sim time, decision count, threads, profile FNV) — the
     byte-identity contract behind the CI replay gate.
 
-    Two replay paths live in this repo; keep the vocabulary straight:
-    - [rfdet check --replay] re-executes {e schedule traces}
-      ([Rfdet_check.Trace], text) through the explorer's chooser — an
-      exploration repro tool.
+    Journals and schedule traces share one run header
+    ([Rfdet_check.Trace.header]), but the two replay paths have separate
+    jobs:
+    - [rfdet check --replay] re-executes a {e schedule trace} (the text
+      form) through the explorer's chooser, following its prescribed
+      choices — an exploration repro tool.
     - [rfdet replay] (this module) reconstructs a run from a {e binary
-      decision journal} recorded by [rfdet record] — a crash-safe
-      fault-tolerance primitive. *)
+      decision journal} recorded by [rfdet record], verifying every
+      recorded decision — a crash-safe fault-tolerance primitive. *)
 
 type spec = {
   workload : Rfdet_workloads.Workload.t;
@@ -57,6 +59,7 @@ type error =
       (** a damaged frame: never recoverable (exit 8) *)
   | E_torn of { offset : int; reason : string; decoded : int; synced : int }
       (** torn tail refused without [~recover:true] (exit 9) *)
+  | E_unreadable of string  (** the journal file cannot be read (exit 64) *)
   | E_bad_header of string
       (** the header no longer resolves (unknown workload/runtime) *)
   | E_diverged of { index : int; expected : int; got : int }

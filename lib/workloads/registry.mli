@@ -3,7 +3,8 @@
 val all : Workload.t list
 
 val find : string -> Workload.t
-(** Raises [Not_found] with a helpful message listing valid names. *)
+(** Raises [Invalid_argument] with a helpful message listing valid
+    names. *)
 
 val names : string list
 

@@ -237,20 +237,94 @@ let test_sampling_deterministic () =
   Alcotest.(check bool) "a clean" true (a.Explore.failures = []);
   Alcotest.(check bool) "b clean" true (b.Explore.failures = [])
 
-(* --- trace round-trip ------------------------------------------------- *)
+(* --- the trace text form ----------------------------------------------- *)
+
+(* [text] with [key]'s line replaced by [key value], or dropped *)
+let edit text key value =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i when String.sub line 0 i = key ->
+           Option.map (fun v -> key ^ " " ^ v) value
+         | _ -> Some line)
+  |> String.concat "\n"
+
+let names label e naming =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %S names %S" label e naming)
+    true
+    (Astring.String.is_infix ~affix:naming e)
 
 let test_trace_roundtrip () =
+  (* the full header: a hex-float scale, a fault plan, and comment lines *)
   let t =
-    Trace.make ~workload:"micro-lock" ~threads:3 ~scale:1.5 ~input_seed:99L
-      ~runtime:"rfdet-pf" ~choices:[ 1; 0; 2; 2; 1 ]
-      ~expect:"deadbeefdeadbeef" ~note:"round-trip fixture" ()
+    {
+      Trace.header =
+        {
+          (Explore.header
+             { Explore.default_config with Explore.threads = 3; scale = 0.3 }
+             "micro-lock")
+          with
+          Trace.input_seed = 99L;
+          runtime = "rfdet-pf";
+          fault_mode = "recover";
+          fault_plan = Some "crash,tid=1,op=lock,n=2";
+        };
+      choices = [ 1; 0; 2; 2; 1 ];
+      expect = Some "deadbeefdeadbeef";
+      note = Some "round-trip fixture";
+    }
   in
-  (match Trace.of_string (Trace.to_string t) with
+  let text = Trace.to_string t in
+  Alcotest.(check bool)
+    "scale is a hex float" true
+    (Astring.String.is_infix ~affix:"\nscale 0x1.3333333333333p-2\n" text);
+  let commented = "# a comment\n" ^ text ^ "  # indented comment\n\n" in
+  (match Trace.of_string commented with
   | Ok t' -> Alcotest.(check bool) "round-trips" true (t = t')
   | Error e -> Alcotest.fail ("parse failed: " ^ e));
-  match Trace.of_string "threads 2\nchoices 1 0\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a trace without a workload"
+  (* a trace the explorer writes names its runtime as journals do, and
+     replays clean *)
+  let header =
+    Explore.header
+      { Explore.default_config with Explore.opts = Options.baseline_no_opt }
+      "micro-lock"
+  in
+  Alcotest.(check string)
+    "journal runtime name" "rfdet-noopt" header.Trace.runtime;
+  let good =
+    Trace.to_string { Trace.header; choices = []; expect = None; note = None }
+  in
+  let replay_error text =
+    match Trace.of_string text with
+    | Ok tr -> (Explore.replay tr).Explore.r_error
+    | Error e -> Alcotest.failf "parse failed: %s" e
+  in
+  Alcotest.(check (option string)) "explored trace replays" None
+    (replay_error good);
+  (* every rejection names its field: in parsing ... *)
+  let rejected label text ~naming =
+    match Trace.of_string text with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e -> names label e naming
+  in
+  rejected "garbage" "not a trace" ~naming:"format";
+  rejected "missing key" (edit good "threads" None) ~naming:"threads";
+  rejected "bad integer" (edit good "threads" (Some "x")) ~naming:"threads";
+  rejected "other format" (edit good "format" (Some "2")) ~naming:"format 2";
+  rejected "no choices" (edit good "choices" None) ~naming:"choices";
+  (* ... or, when the explorer cannot run the header, in replay *)
+  let unrunnable label key value ~naming =
+    match replay_error (edit good key (Some value)) with
+    | None -> Alcotest.failf "%s: replayed" label
+    | Some e -> names label e naming
+  in
+  unrunnable "unknown runtime" "runtime" "rfdet-nope" ~naming:"rfdet-nope";
+  unrunnable "not an RFDet runtime" "runtime" "kendo" ~naming:"kendo";
+  unrunnable "scheduler seed" "sched-seed" "7" ~naming:"sched-seed";
+  unrunnable "jitter" "jitter" "0x1p+0" ~naming:"jitter";
+  unrunnable "fault mode" "fault-mode" "contain" ~naming:"fault-mode";
+  unrunnable "unknown workload" "workload" "no-such" ~naming:"no-such"
 
 (* --- the regression corpus (satellite: replay on every runtest) ------- *)
 
@@ -262,20 +336,12 @@ let corpus_dir =
   else Filename.concat (Filename.dirname Sys.executable_name) "corpus"
 
 let test_corpus_replays () =
-  let files =
-    Sys.readdir corpus_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".trace")
-    |> List.sort String.compare
-  in
-  Alcotest.(check bool) "corpus is non-empty" true (files <> []);
+  let results = Rfdet_check.Driver.replay_corpus corpus_dir in
+  Alcotest.(check bool) "corpus is non-empty" true (results <> []);
   List.iter
-    (fun file ->
-      match Trace.load ~path:(Filename.concat corpus_dir file) with
-      | Error e -> Alcotest.fail (file ^ ": " ^ e)
-      | Ok tr ->
-        let r = Explore.replay ~strict:false tr in
-        Alcotest.(check (option string)) (file ^ ": clean") None r.Explore.r_error)
-    files
+    (fun (file, err) ->
+      Alcotest.(check (option string)) (file ^ ": clean") None err)
+    results
 
 (* --- differential spot checks (full suites run under rfdet check) ----- *)
 

@@ -30,14 +30,15 @@ let with_temp f =
     (fun () -> f path)
 
 let spec ?(runtime = Runner.rfdet_ci) ?(threads = 2) ?(scale = 0.05)
-    ?(jitter = 0.) ?(fault_mode = Engine.Contain) ?faults name =
+    ?(sched_seed = 1L) ?(jitter = 0.) ?(fault_mode = Engine.Contain) ?faults
+    name =
   {
     S.workload = Registry.find name;
     runtime;
     threads;
     scale;
     input_seed = 42L;
-    sched_seed = 1L;
+    sched_seed;
     jitter;
     fault_mode;
     faults;
@@ -59,8 +60,8 @@ let test_roundtrip () =
   let s = S.record ~path (spec "kvserver" ~threads:4 ~scale:0.1) in
   (match J.scan_file path with
   | Ok (J.Complete { header; decisions; trailer }) ->
-    Alcotest.(check string) "workload" "kvserver" header.J.workload;
-    Alcotest.(check string) "runtime" "rfdet-ci" header.J.runtime;
+    Alcotest.(check string) "workload" "kvserver" header.Trace.workload;
+    Alcotest.(check string) "runtime" "rfdet-ci" header.Trace.runtime;
     Alcotest.(check int) "decoded decisions" s.S.s_decisions
       (Array.length decisions);
     Alcotest.(check int) "trailer decisions" s.S.s_decisions
@@ -71,7 +72,18 @@ let test_roundtrip () =
   | Error e -> Alcotest.fail e);
   let ok = replay_ok path in
   Alcotest.(check bool) "summary identical" true (ok.S.r_summary = s);
-  Alcotest.(check bool) "not recovered" false ok.S.r_recovered
+  Alcotest.(check bool) "not recovered" false ok.S.r_recovered;
+  (* the recorded decisions differ under another scheduler seed and
+     jitter, but the run they reconstruct does not *)
+  with_temp @@ fun path' ->
+  let s' =
+    S.record ~path:path'
+      (spec "kvserver" ~threads:4 ~scale:0.1 ~sched_seed:3L ~jitter:13.)
+  in
+  Alcotest.(check string) "seed-independent signature" s.S.s_signature
+    s'.S.s_signature;
+  Alcotest.(check bool) "noisy journal replays" true
+    ((replay_ok path').S.r_summary = s')
 
 let test_roundtrip_fault_recovery () =
   with_temp @@ fun path ->
@@ -88,6 +100,66 @@ let test_roundtrip_fault_recovery () =
   let ok = replay_ok path in
   Alcotest.(check bool) "crash-recovery run replays identically" true
     (ok.S.r_summary = s)
+
+(* Rewrite the complete journal at [path] with its header passed
+   through [f], keeping its decisions and trailer. *)
+let reheader path f =
+  match J.scan_file path with
+  | Ok (J.Complete { header; decisions; trailer }) ->
+    let w = J.create ~path (f header) in
+    Array.iter (J.add w) decisions;
+    J.finish w trailer
+  | Ok _ -> Alcotest.fail "expected a Complete scan"
+  | Error e -> Alcotest.fail e
+
+(* A recording pins its inputs: the same decisions and trailer under a
+   header with another input seed must fail verification. *)
+let test_changed_input_detected () =
+  with_temp @@ fun path ->
+  let _ = S.record ~path (spec "fft" ~scale:0.1) in
+  reheader path (fun h -> { h with Trace.input_seed = 7L });
+  match S.replay ~path () with
+  | Error (S.E_diverged _ | S.E_mismatch _) -> ()
+  | Error e ->
+    Alcotest.fail ("expected a divergence, got " ^ S.describe_error e)
+  | Ok _ -> Alcotest.fail "a changed input replayed as the recording"
+
+(* test/corpus/micro-lock-t2.rfdj was written by an earlier build with
+   `rfdet record micro-lock -t 2`.  It must still replay, and recording
+   its spec again must write the same bytes: the header codec and every
+   frame stay byte-compatible. *)
+let test_committed_journal () =
+  let path = Filename.concat Test_check.corpus_dir "micro-lock-t2.rfdj" in
+  let ok = replay_ok path in
+  match S.spec_of_header ok.S.r_header with
+  | Error e -> Alcotest.fail e
+  | Ok sp ->
+    with_temp @@ fun out ->
+    ignore (S.record ~path:out sp);
+    Alcotest.(check string) "re-recorded bytes" (read_file path) (read_file out)
+
+let test_missing_journal () =
+  match S.replay ~path:"no-such-journal.rfdj" () with
+  | Error (S.E_unreadable _ as e) ->
+    Alcotest.(check bool) "says it cannot read the file" true
+      (Astring.String.is_infix ~affix:"cannot read journal no-such-journal.rfdj"
+         (S.describe_error e))
+  | Error e ->
+    Alcotest.fail ("expected E_unreadable, got " ^ S.describe_error e)
+  | Ok _ -> Alcotest.fail "replayed a missing file"
+
+(* A header that no longer resolves is a usage error, not a crash. *)
+let test_unknown_workload () =
+  with_temp @@ fun path ->
+  let _ = S.record ~path (spec "micro-lock") in
+  reheader path (fun h -> { h with Trace.workload = "no-such" });
+  match S.replay ~path () with
+  | Error (S.E_bad_header e) ->
+    Alcotest.(check bool) "names the workload" true
+      (Astring.String.is_infix ~affix:"\"no-such\"" e)
+  | Error e ->
+    Alcotest.fail ("expected E_bad_header, got " ^ S.describe_error e)
+  | Ok _ -> Alcotest.fail "replayed an unknown workload"
 
 (* --- minimality ------------------------------------------------------- *)
 
@@ -316,7 +388,7 @@ let test_minimize_repro () =
         (Some (Race.digest report))
         tr.Trace.expect;
       Alcotest.(check string) "detector runtime" Explore.detector_runtime
-        tr.Trace.runtime;
+        tr.Trace.header.Trace.runtime;
       let r = Explore.replay ~strict:false tr in
       Alcotest.(check (option string)) "minimized repro replays clean" None
         r.Explore.r_error)
@@ -328,6 +400,14 @@ let suites =
         Alcotest.test_case "record/replay roundtrip" `Quick test_roundtrip;
         Alcotest.test_case "crash-recovery run roundtrip" `Quick
           test_roundtrip_fault_recovery;
+        Alcotest.test_case "changed input is detected" `Quick
+          test_changed_input_detected;
+        Alcotest.test_case "committed journal: replay, identical re-record"
+          `Quick test_committed_journal;
+        Alcotest.test_case "missing journal is unreadable" `Quick
+          test_missing_journal;
+        Alcotest.test_case "unknown workload is a bad header" `Quick
+          test_unknown_workload;
         Alcotest.test_case "log minimality" `Quick test_minimality;
         Alcotest.test_case "torn tail: strict refusal + recovery" `Quick
           test_torn_recovery;
