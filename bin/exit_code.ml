@@ -16,8 +16,9 @@ let ok = entry 0 "on success."
 let check_failed =
   entry 1
     "when a check fails: $(b,faults) or $(b,clinic) finds nondeterminism, \
-     $(b,check) finds a failing schedule, or $(b,races --shrink) cannot \
-     minimize a repro."
+     $(b,check) finds a failing schedule, $(b,races --shrink) cannot \
+     minimize a repro, or $(b,bench) finds a traced run whose signature \
+     differs from the untraced run."
 
 let deadlock = entry 2 "when the simulated program deadlocks."
 

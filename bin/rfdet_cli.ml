@@ -6,10 +6,9 @@
      racey            the determinism stress experiment (Section 5.1)
      faults WORKLOAD  fault-determinism check under an injected plan
      clinic WORKLOAD  crash clinic: inject one crash at every op index
-     bench            host-performance bench of the core primitives
-                      (--json writes BENCH_CORE.json)
+     bench            print the benchmark record (BENCH_CORE.json)
      experiment NAME  regenerate a table/figure (fig7, table1, fig8,
-                      fig9, e1, e6, e7, all) *)
+                      fig9, e1, e6, e7, e8, all) *)
 
 open Cmdliner
 module Runner = Rfdet_harness.Runner
@@ -884,42 +883,19 @@ let clinic_cmd =
 (* --- bench ------------------------------------------------------------ *)
 
 let bench_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Also write the machine-readable benchmark record (the repo's \
-             perf-trajectory file) and echo it to stdout.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_CORE.json"
-      & info [ "o"; "out" ] ~docv:"PATH"
-          ~doc:"Where $(b,--json) writes the record.")
-  in
-  let action json out jobs =
-   Exit_code.guard @@ fun () ->
-    let jobs = resolve_jobs jobs in
-    let r =
-      Rfdet_harness.Bench_core.run ~jobs
-        ~journal_probe:Rfdet_replay.Offline.bench_probe ()
-    in
-    print_string (Rfdet_harness.Bench_core.render r);
-    if json then begin
-      Rfdet_harness.Bench_core.write_json ~path:out r;
-      Printf.printf "\nwrote %s:\n%s" out (Rfdet_harness.Bench_core.to_json r)
-    end
+  let action () =
+   Exit_code.guard @@ fun () -> print_string (Bench_record.json ())
   in
   Cmd.v
     (cmd_info "bench"
        ~doc:
-         "Benchmark the memory-pipeline primitives (word-level page diff, \
-          blit-based apply, string I/O, snapshot pooling) and two \
-          end-to-end workloads on the host clock; $(b,--json) emits \
-          BENCH_CORE.json with times, ops/sec and output signatures.")
-    Term.(const action $ json_arg $ out_arg $ jobs_arg)
+         "Print the benchmark record (BENCH_CORE.json) on stdout: output \
+          signatures, simulated cycles, time breakdowns and kvserver \
+          latency attribution of three end-to-end workloads, the \
+          parallel-equals-sequential bit of two sweeps, and the decision \
+          journal's size.  Every field is simulated, so the bytes are the \
+          same on every host.")
+    Term.(const action $ const ())
 
 (* --- check ------------------------------------------------------------ *)
 
@@ -1139,12 +1115,24 @@ let experiment_cmd =
       & pos 0 (some (Arg.enum
            [ ("fig7", `Fig7); ("table1", `Table1); ("fig8", `Fig8);
              ("fig9", `Fig9); ("e1", `E1); ("e6", `E6); ("e7", `E7);
-             ("all", `All) ])) None
+             ("e8", `E8); ("all", `All) ])) None
       & info [] ~docv:"NAME"
-          ~doc:"One of: fig7, table1, fig8, fig9, e1, e6, e7, all.")
+          ~doc:"One of: fig7, table1, fig8, fig9, e1, e6, e7, e8, all.")
+  in
+  let fig7 () =
+    let f7 = Experiments.figure7 () in
+    print_string (Experiments.render_figure7 f7);
+    print_newline ();
+    print_string (Experiments.chart_figure7 f7);
+    let d, ci, pf = Experiments.figure7_summary f7 in
+    Printf.printf
+      "\nPaper: RFDet-ci ~1.35x, RFDet-pf ~1.73x, DThreads ~2.5x (worst 10x).\n\
+       Here:  RFDet-ci %.2fx, RFDet-pf %.2fx, DThreads %.2fx.\n\
+       RFDet-ci speedup over DThreads: %.2fx (paper: ~2x).\n"
+      ci pf d (d /. ci)
   in
   let run_one = function
-    | `Fig7 -> print_string (Experiments.render_figure7 (Experiments.figure7 ()))
+    | `Fig7 -> fig7 ()
     | `Table1 -> print_string (Experiments.render_table1 (Experiments.table1 ()))
     | `Fig8 -> print_string (Experiments.render_figure8 (Experiments.figure8 ()))
     | `Fig9 -> print_string (Experiments.render_figure9 (Experiments.figure9 ()))
@@ -1153,13 +1141,15 @@ let experiment_cmd =
         (Experiments.render_e1 (Experiments.racey_determinism ~runs_per_config:50 ()))
     | `E6 -> print_string (Experiments.render_e6 (Experiments.ablation_barriers ()))
     | `E7 -> print_string (Experiments.render_e7 (Experiments.ablation_gc ()))
+    | `E8 ->
+      print_string (Experiments.render_e8 (Experiments.ablation_sensitivity ()))
     | `All -> assert false
   in
   let action name =
    Exit_code.guard @@ fun () ->
     match name with
     | `All ->
-      List.iter run_one [ `E1; `Fig7; `Table1; `Fig8; `Fig9; `E6; `E7 ]
+      List.iter run_one [ `E1; `Fig7; `Table1; `Fig8; `Fig9; `E6; `E7; `E8 ]
     | x -> run_one x
   in
   Cmd.v

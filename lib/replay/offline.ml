@@ -1,6 +1,3 @@
-module Engine = Rfdet_sim.Engine
-module Runner = Rfdet_harness.Runner
-module Bench_core = Rfdet_harness.Bench_core
 module Workload = Rfdet_workloads.Workload
 module Registry = Rfdet_workloads.Registry
 module Race = Rfdet_detect.Race_detector
@@ -70,61 +67,3 @@ let minimize_repro (h : Journal.header) (report : Race.report) =
         in
         Ok ({ minimized with Trace.note = Some note }, tries))
   end
-
-let bench_probe () : Bench_core.journal_size =
-  let workload = Registry.find "kvserver" in
-  let spec =
-    {
-      Session.workload;
-      runtime = Runner.rfdet_ci;
-      threads = 4;
-      scale = 1.0;
-      input_seed = 42L;
-      sched_seed = 1L;
-      jitter = 0.;
-      fault_mode = Engine.Contain;
-      faults = None;
-    }
-  in
-  let path = Filename.temp_file "rfdet-journal" ".rfdj" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let summary = Session.record ~path spec in
-      let journal_bytes =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> in_channel_length ic)
-      in
-      let sink = Rfdet_obs.Sink.create () in
-      let traced =
-        Runner.run ~threads:spec.Session.threads ~scale:spec.Session.scale
-          ~input_seed:spec.Session.input_seed
-          ~sched_seed:spec.Session.sched_seed ~obs:sink spec.Session.runtime
-          workload
-      in
-      if traced.Runner.signature <> summary.Session.s_signature then
-        failwith "journal bench probe: traced run diverged from recorded run";
-      let trace_bytes =
-        Rfdet_obs.Trace.lines_bytes (Rfdet_obs.Sink.events sink)
-      in
-      let requests =
-        traced.Runner.profile.Rfdet_sim.Profile.requests_served
-      in
-      {
-        Bench_core.j_workload = workload.Workload.name;
-        j_runtime = Runner.cli_name spec.Session.runtime;
-        j_threads = spec.Session.threads;
-        j_requests = requests;
-        j_decisions = summary.Session.s_decisions;
-        j_journal_bytes = journal_bytes;
-        j_trace_bytes = trace_bytes;
-        j_bytes_per_request =
-          (if requests = 0 then 0.
-           else float_of_int journal_bytes /. float_of_int requests);
-        j_trace_ratio =
-          (if journal_bytes = 0 then 0.
-           else float_of_int trace_bytes /. float_of_int journal_bytes);
-        j_signature = summary.Session.s_signature;
-      })

@@ -29,10 +29,3 @@ val minimize_repro :
     minimized corpus trace (runtime [Explore.detector_runtime], expect
     = digest) and the number of replays spent, ready for
     [test/corpus/]. *)
-
-val bench_probe : unit -> Rfdet_harness.Bench_core.journal_size
-(** The log-minimality benchmark behind BENCH_CORE.json's [journal]
-    stanza: record the kvserver end-to-end workload to a throwaway
-    journal and compare its size against the full causal trace of the
-    same run.  All fields are simulated/deterministic, so the committed
-    numbers only change when the format or the workload does. *)

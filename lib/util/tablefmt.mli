@@ -1,8 +1,8 @@
 (** Plain-text table rendering for the benchmark harness.
 
     Produces aligned, pipe-separated tables like the ones in the paper's
-    evaluation section so that `bench/main.exe` output can be compared to
-    Table 1 / Figures 7-9 at a glance. *)
+    evaluation section so that `rfdet experiment` output can be compared
+    to Table 1 / Figures 7-9 at a glance. *)
 
 type align = Left | Right
 

@@ -3,8 +3,6 @@
    ([caml_lessequal] and friends) per clock word. *)
 type t = int array
 
-type order = Equal | Less | Greater | Concurrent
-
 let create n : t =
   if n <= 0 then invalid_arg "Vclock.create: n <= 0";
   Array.make n 0
@@ -69,14 +67,6 @@ let lt (a : t) (b : t) =
      incr i
    done;
    !i = n)
-
-let compare_partial a b =
-  let le = leq a b and ge = leq b a in
-  match le, ge with
-  | true, true -> Equal
-  | true, false -> Less
-  | false, true -> Greater
-  | false, false -> Concurrent
 
 let min_into (dst : t) (src : t) =
   if Array.length dst <> Array.length src then

@@ -8,13 +8,6 @@
 
 type t
 
-(** Result of a partial-order comparison of two clocks. *)
-type order =
-  | Equal
-  | Less        (** strictly happens-before *)
-  | Greater     (** strictly happens-after *)
-  | Concurrent  (** unordered: a data race if both sides wrote *)
-
 (** [create n] is the zero clock for [n] threads. *)
 val create : int -> t
 
@@ -50,10 +43,6 @@ val leq : t -> t -> bool
     Decided in one pass; a size mismatch raises the same
     [Invalid_argument "Vclock.leq: size mismatch"] as [leq]. *)
 val lt : t -> t -> bool
-
-(** [compare_partial a b] classifies the pair under the happens-before
-    partial order. *)
-val compare_partial : t -> t -> order
 
 (** [equal a b] is component-wise equality; clocks of different sizes
     are unequal. *)

@@ -288,6 +288,76 @@ let test_pinned_baselines () =
         (profile_digest r.Runner.profile))
     pinned_baselines
 
+(* The chart `experiment fig7` prints.  Bars share one scale: the largest
+   value fills the 48-column width, so 1.0x is 12 columns when the
+   maximum is 4.0x, and a bar that reaches 1.0x carries the '|' mark in
+   its 12th column. *)
+let test_figure7_chart () =
+  let row w d pf ci =
+    {
+      Experiments.f7_workload = w;
+      f7_pthreads = 1000;
+      f7_dthreads = d;
+      f7_rfdet_pf = pf;
+      f7_rfdet_ci = ci;
+    }
+  in
+  let chart =
+    Experiments.chart_figure7
+      [ row "fft" 4.0 1.5 0.5; row "barnes" 2.0 1.0 0.25 ]
+  in
+  match String.split_on_char '\n' chart with
+  | _title :: legend :: bars ->
+    Alcotest.(check string) "legend"
+      "D = DThreads   p = RFDet-pf   c = RFDet-ci" legend;
+    (* label (6 wide), glyph, bar (48 wide), value *)
+    let expect =
+      [
+        ("fft", 'D', 48, "4.00"); ("", 'p', 18, "1.50"); ("", 'c', 6, "0.50");
+        ("barnes", 'D', 24, "2.00"); ("", 'p', 12, "1.00");
+        ("", 'c', 3, "0.25");
+      ]
+    in
+    let bars = List.filter (fun l -> l <> "") bars in
+    Alcotest.(check int) "one line per workload and series"
+      (List.length expect) (List.length bars);
+    List.iter2
+      (fun line (label, glyph, len, value) ->
+        let what = Printf.sprintf "%s %c" label glyph in
+        Alcotest.(check string) (what ^ ": label") label
+          (String.trim (String.sub line 0 6));
+        Alcotest.(check char) (what ^ ": glyph") glyph line.[7];
+        let bar = String.trim (String.sub line 9 48) in
+        Alcotest.(check int) (what ^ ": bar length") len (String.length bar);
+        Alcotest.(check bool) (what ^ ": 1.0x mark") (len >= 12)
+          (String.index_opt bar '|' = Some 11);
+        Alcotest.(check string) (what ^ ": value") value
+          (String.trim (String.sub line 58 (String.length line - 58))))
+      bars expect
+  | _ -> Alcotest.fail "chart has no legend line"
+
+(* The E8 table flags a cost factor at which the Figure 7 ordering
+   breaks, rather than dropping the row. *)
+let test_e8_table () =
+  let row f ci pf d holds =
+    {
+      Experiments.e8_factor = f;
+      e8_rfdet_ci = ci;
+      e8_rfdet_pf = pf;
+      e8_dthreads = d;
+      e8_ordering_holds = holds;
+    }
+  in
+  let table =
+    Experiments.render_e8
+      [ row 0.5 1.10 1.40 2.20 true; row 4.0 1.90 1.70 2.60 false ]
+  in
+  let contains needle = Astring.String.is_infix ~affix:needle table in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("contains " ^ needle) true (contains needle))
+    [ "0.5x"; "4.0x"; "1.10x"; "1.70x"; "2.60x"; "holds"; "VIOLATED" ]
+
 let suites =
   match suites with
   | [ (name, tests) ] ->
@@ -303,6 +373,8 @@ let suites =
               test_prelock_hides_propagation_latency;
             Alcotest.test_case "baseline results pinned" `Quick
               test_pinned_baselines;
+            Alcotest.test_case "figure 7 chart" `Quick test_figure7_chart;
+            Alcotest.test_case "e8 table" `Quick test_e8_table;
           ] );
     ]
   | _ -> suites

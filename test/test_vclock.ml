@@ -33,8 +33,6 @@ let test_size_mismatch () =
       Vclock.min_into a b);
   raises "leq" "Vclock.leq: size mismatch" (fun () -> Vclock.leq a b);
   raises "lt" "Vclock.leq: size mismatch" (fun () -> Vclock.lt b a);
-  raises "compare_partial" "Vclock.leq: size mismatch" (fun () ->
-      Vclock.compare_partial a b);
   Alcotest.(check bool) "equal" false (Vclock.equal a b);
   Alcotest.(check bool)
     "equal, zero-padded" false
@@ -84,16 +82,6 @@ let prop_leq_transitive =
     (fun (a, b, c) ->
       if Vclock.leq a b && Vclock.leq b c then Vclock.leq a c else true)
 
-let prop_partial_consistent =
-  QCheck2.Test.make ~name:"vclock: compare_partial agrees with leq" ~count:300
-    QCheck2.Gen.(pair (gen_clock 4) (gen_clock 4))
-    (fun (a, b) ->
-      match Vclock.compare_partial a b with
-      | Vclock.Equal -> Vclock.equal a b
-      | Less -> Vclock.lt a b
-      | Greater -> Vclock.lt b a
-      | Concurrent -> (not (Vclock.leq a b)) && not (Vclock.leq b a))
-
 let prop_lt_irreflexive_strict =
   QCheck2.Test.make ~name:"vclock: lt is the strict part of leq" ~count:300
     QCheck2.Gen.(pair (gen_clock 4) (gen_clock 4))
@@ -112,19 +100,13 @@ module Ref = struct
   let leq a b = List.for_all2 ( <= ) a b
 
   let lt a b = leq a b && not (a = b)
-
-  let compare_partial a b : Vclock.order =
-    match leq a b, leq b a with
-    | true, true -> Equal
-    | true, false -> Less
-    | false, true -> Greater
-    | false, false -> Concurrent
 end
 
 (* Pairs of one width in 1-64 (64 boosted), components 0-8, where [b] is
    [a] itself, [a] with some components raised, [a] with one component
-   changed (often the last), or independent — so every [order] and every
-   position of the first difference occurs. *)
+   changed (often the last), or independent — so equal, ordered and
+   concurrent pairs all occur, with the first difference at every
+   position. *)
 let gen_ref_pair =
   let open QCheck2.Gen in
   let* n = frequency [ (1, return 64); (3, int_range 1 64) ] in
@@ -160,7 +142,6 @@ let prop_matches_reference =
       Vclock.leq ca cb = Ref.leq a b
       && Vclock.lt ca cb = Ref.lt a b
       && Vclock.equal ca cb = (a = b)
-      && Vclock.compare_partial ca cb = Ref.compare_partial a b
       && into Vclock.join = List.map2 max a b
       && into Vclock.min_into = List.map2 min a b
       && Vclock.to_list ca = a
@@ -426,7 +407,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_join_associative;
         QCheck_alcotest.to_alcotest prop_leq_antisym;
         QCheck_alcotest.to_alcotest prop_leq_transitive;
-        QCheck_alcotest.to_alcotest prop_partial_consistent;
         QCheck_alcotest.to_alcotest prop_lt_irreflexive_strict;
         QCheck_alcotest.to_alcotest prop_filter_upper_monotone;
         QCheck_alcotest.to_alcotest prop_filter_lower_monotone;
