@@ -122,11 +122,7 @@ let fault_plan_arg =
 let fault_mode_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("contain", Engine.Contain); ("abort", Engine.Abort);
-             ("recover", Engine.Recover) ])
-        Engine.Contain
+    & opt (enum Engine.failure_modes) Engine.Contain
     & info [ "fault-mode" ]
         ~doc:
           "What a thread crash does: 'contain' (kill only the faulting \
@@ -157,8 +153,8 @@ let run_cmd =
     Arg.(
       required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
   in
-  let action runtime workload threads scale seed input_seed jitter trace
-      faults failure_mode profile_json =
+  let action runtime workload threads scale seed input_seed jitter faults
+      failure_mode profile_json =
    Exit_code.guard @@ fun () ->
     (match faults with
     | Some plan when Fault_plan.has_wildcard plan && jitter > 0. ->
@@ -171,8 +167,8 @@ let run_cmd =
     | _ -> ());
     let r =
       Runner.run ~threads ~scale ~sched_seed:(Int64.of_int seed)
-        ~input_seed:(Int64.of_int input_seed) ~jitter ~trace ?faults
-        ~failure_mode runtime workload
+        ~input_seed:(Int64.of_int input_seed) ~jitter ?faults ~failure_mode
+        runtime workload
     in
     let p = r.Runner.profile in
     (match profile_json with
@@ -194,21 +190,7 @@ let run_cmd =
             (fun (tid, v) -> Printf.sprintf "%d:%Ld" tid v)
             r.Runner.outputs));
     print_crashes r.Runner.crashes;
-    Format.printf "profile:     @[%a@]@." Profile.pp p;
-    if r.Runner.trace <> [] then begin
-      Printf.printf "trace (last %d operations):\n" (List.length r.Runner.trace);
-      List.iter
-        (fun e ->
-          Printf.printf "  clock=%-10d icount=%-10d tid=%d %s\n"
-            e.Rfdet_sim.Engine.t_clock e.Rfdet_sim.Engine.t_icount
-            e.Rfdet_sim.Engine.t_tid e.Rfdet_sim.Engine.t_op)
-        r.Runner.trace
-    end
-  in
-  let trace_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "trace" ] ~doc:"Print the last N operations of the run.")
+    Format.printf "profile:     @[%a@]@." Profile.pp p
   in
   let input_seed_arg =
     Arg.(
@@ -225,7 +207,7 @@ let run_cmd =
   Cmd.v (cmd_info "run" ~doc:"Run one workload under one runtime.")
     Term.(
       const action $ runtime_arg $ workload_arg $ threads_arg $ scale_arg
-      $ seed_arg $ input_seed_arg $ jitter_arg $ trace_arg $ fault_plan_arg
+      $ seed_arg $ input_seed_arg $ jitter_arg $ fault_plan_arg
       $ fault_mode_arg $ profile_json_arg)
 
 (* --- trace / profile --------------------------------------------------- *)

@@ -59,7 +59,8 @@ let make_with_sync engine : Sync.t * Engine.policy =
       (* Weak determinism shares memory directly, so a crashed thread has
          no private state to discard — the sync-layer repair (poisoned
          mutexes, broken barriers, failed joiners) is the whole story. *)
-      on_thread_crash = (fun ~tid _exn -> Sync.on_thread_crash t.sync ~tid);
+      on_thread_crash =
+        (fun ~tid _exn -> Sync.on_thread_crash t.sync ~tid ~restart:false);
       on_step = (fun () -> Sync.poll t.sync);
       on_finish = (fun () -> on_finish t ());
     } )

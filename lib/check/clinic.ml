@@ -26,11 +26,6 @@ type summary = {
   nonconformant : int;
 }
 
-let mode_name = function
-  | Engine.Abort -> "abort"
-  | Engine.Contain -> "contain"
-  | Engine.Recover -> "recover"
-
 (* One RFDet run under the DLRC conformance oracle, with the recovery
    manager attached when the mode asks for it.  Mid-run divergence under
    Contain/Recover is itself contained as a thread crash, so conformance
@@ -54,17 +49,9 @@ let run_rfdet_conformant ~opts ~mode ~plan ~threads ~scale workload =
     state_ref := Some state;
     match mode with
     | Engine.Recover ->
-      let mgr =
-        Recover.create engine
-          {
-            Recover.rh_sync = Some (Rfdet_core.Rfdet_runtime.sync state);
-            prepare_restart =
-              (fun ~tid ->
-                Rfdet_core.Rfdet_runtime.crash_recoverable state ~tid);
-          }
-      in
-      Recover.register mgr ~tid:0 main;
-      Recover.attach mgr policy
+      Recover.manage engine ~sync:(Rfdet_core.Rfdet_runtime.sync state)
+        ~prepare_restart:(Rfdet_core.Rfdet_runtime.crash_recoverable state)
+        ~main policy
     | Engine.Abort | Engine.Contain -> policy
   in
   let r = Engine.run ~config maker ~main in
@@ -202,7 +189,7 @@ let pp_summary ppf s =
     (fun c ->
       if (not c.deterministic) || c.conformant = Some false then
         Format.fprintf ppf "@.  FAIL %s/%s k=%d det=%b conformant=%s" c.runtime
-          (mode_name c.mode) c.index c.deterministic
+          (Engine.failure_mode_name c.mode) c.index c.deterministic
           (match c.conformant with
           | None -> "n/a"
           | Some b -> string_of_bool b))

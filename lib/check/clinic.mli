@@ -41,8 +41,6 @@ type summary = {
   nonconformant : int;
 }
 
-val mode_name : Rfdet_sim.Engine.failure_mode -> string
-
 val sweep :
   ?op_class:Rfdet_fault.Fault_plan.op_class ->
   ?threads:int ->

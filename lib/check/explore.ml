@@ -272,7 +272,7 @@ let header (cfg : config) workload =
     sched_seed = 1L;
     jitter = 0.;
     runtime = Runner.cli_name (Runner.Rfdet cfg.opts);
-    fault_mode = "abort";
+    fault_mode = Engine.failure_mode_name Engine.Abort;
     fault_plan = None;
   }
 

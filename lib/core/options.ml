@@ -5,11 +5,9 @@ type t = {
   slice_merging : bool;
   prelock : bool;
   lazy_writes : bool;
-  lazy_min_bytes : int;
   metadata_capacity : int;
   gc_threshold : float;
   skip_premain_monitoring : bool;
-  verify_metadata : bool;
   bug_drop_window : (int * int) option;
   bug_lost_signal : (int * int) option;
 }
@@ -22,11 +20,9 @@ let default =
     slice_merging = true;
     prelock = true;
     lazy_writes = true;
-    lazy_min_bytes = 512;
     metadata_capacity = 256 * mb;
     gc_threshold = 0.9;
     skip_premain_monitoring = true;
-    verify_metadata = true;
     bug_drop_window = None;
     bug_lost_signal = None;
   }

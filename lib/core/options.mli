@@ -23,12 +23,8 @@ type t = {
           deterministic reservation order (Section 4.5) *)
   lazy_writes : bool;
       (** defer writing propagated modifications until the target page is
-          actually accessed (Section 4.5) *)
-  lazy_min_bytes : int;
-      (** only defer pages carrying at least this many pending bytes;
-          smaller payloads are cheaper to apply eagerly than to fault in
-          later (refinement over the paper: the all-pages policy is
-          strictly worse whenever payloads are small) *)
+          actually accessed (Section 4.5); pages with small payloads
+          still apply eagerly (see [Propagate]) *)
   metadata_capacity : int;
       (** metadata space size in bytes (paper default 256 MB) *)
   gc_threshold : float;
@@ -36,12 +32,6 @@ type t = {
   skip_premain_monitoring : bool;
       (** do not monitor the main thread before the first fork
           (Section 4.1, "Thread Create and Join") *)
-  verify_metadata : bool;
-      (** verify each slice's self-checksum before applying it at
-          propagation (and audit all live slices at run end); detected
-          corruption is quarantined and re-derived from the publisher's
-          space, or escalated as a deterministic fatal error when
-          re-derivation is impossible.  Default on. *)
   bug_drop_window : (int * int) option;
       (** {b test only} — seeded visibility bug for validating the DLRC
           conformance oracle ([Rfdet_check.Oracle]).  While the engine's

@@ -7,6 +7,12 @@ module Profile = Rfdet_sim.Profile
 
 let scan_cost_per_slice = 2
 
+(* Lazy writes defer only pages carrying at least this many pending
+   bytes: smaller payloads are cheaper to apply eagerly than to fault in
+   later (a refinement over the paper, whose all-pages policy is
+   strictly worse whenever payloads are small). *)
+let lazy_min_bytes = 512
+
 (* Self-verifying metadata: recompute the slice digest before applying.
    A mismatch means the stored modification bytes were silently damaged
    (Engine.I_corrupt, or a real memory error in a deployment).  The
@@ -63,11 +69,11 @@ let apply_eager ~cost ~(into : Tstate.t) (s : Slice.t) =
   Diff.apply into.shared s.mods;
   s.bytes * cost.Cost.apply_byte
 
-let apply_lazy ~cost ~(opts : Options.t) ~(into : Tstate.t) (s : Slice.t) =
+let apply_lazy ~cost ~(into : Tstate.t) (s : Slice.t) =
   (* Pages carrying a substantial payload are queued and access-revoked
      so the first touch faults the updates in; small payloads are cheaper
      to write now than to trap on later, so they apply eagerly (see
-     Options.lazy_min_bytes). *)
+     [lazy_min_bytes]). *)
   let cycles = ref 0 in
   let deferred = ref false in
   List.iter
@@ -75,7 +81,7 @@ let apply_lazy ~cost ~(opts : Options.t) ~(into : Tstate.t) (s : Slice.t) =
       let bytes = Diff.byte_count runs in
       (* A page that already has deferred updates must keep receiving
          them in order, whatever the payload size. *)
-      if bytes >= opts.lazy_min_bytes || Tstate.has_pending into page then begin
+      if bytes >= lazy_min_bytes || Tstate.has_pending into page then begin
         Tstate.add_pending into page runs;
         Space.protect into.shared page Space.Prot_none;
         deferred := true;
@@ -109,10 +115,9 @@ let run ?(drop = false) ?(obs = Rfdet_obs.Sink.null) ?(at = 0) ~cost
                advances, so it is gone for good. *)
             ()
           else begin
-            if opts.verify_metadata then
-              cycles := !cycles + verify ~obs ~at ~cost ~prof ~from ~into s;
+            cycles := !cycles + verify ~obs ~at ~cost ~prof ~from ~into s;
             let apply_cycles =
-              if opts.lazy_writes then apply_lazy ~cost ~opts ~into s
+              if opts.lazy_writes then apply_lazy ~cost ~into s
               else apply_eager ~cost ~into s
             in
             cycles := !cycles + apply_cycles;

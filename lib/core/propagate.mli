@@ -57,9 +57,9 @@ val run :
     [Options.bug_drop_window], used to prove the conformance oracle can
     catch real divergence.
 
-    With [opts.verify_metadata], each slice selected for application is
-    checksum-verified first ([Slice.checksum_valid]); a corrupted slice
-    is quarantined and re-derived from [from]'s live space (counted in
+    Each slice selected for application is checksum-verified first
+    ([Slice.checksum_valid]); a corrupted slice is quarantined and
+    re-derived from [from]'s live space (counted in
     [Profile.quarantines]/[corruptions_detected], traced as [Recovery]
     "quarantine"/"rederive" events), and the run fails with
     [Engine.Fatal] when the re-derived bytes no longer match.

@@ -353,23 +353,33 @@ let do_exited t ~tid =
   ts.exit_len <- Rfdet_util.Vec.length ts.slices;
   ignore (Vclock.tick ts.time tid)
 
-(* Crash containment (an extension beyond the paper; see DESIGN.md).
-   Slice privacy makes this sound and cheap: the thread's stores since
-   its last release point live only in its private copy-on-write view
-   and in its open snapshot set — nothing has been published.  Discard
-   the open slice by dropping the snapshots *without diffing*; the
-   thread's previously released slices stay in the metadata space and
-   remain visible through the regular acquire-time propagation.  The
-   thread is marked exited so it stops pinning the GC frontier. *)
-let do_crashed t ~tid =
-  let ts = state t ~tid in
+(* Discard a crashed thread's open slice by dropping its snapshots
+   *without diffing*.  With [restore], first copy each snapshot back into
+   the private view, rolling its stores back to the last release point
+   (a restart). *)
+let drop_open_slice t (ts : Tstate.t) ~restore =
   Hashtbl.iter
-    (fun _ buf ->
+    (fun page buf ->
+      if restore then
+        Space.blit_string ts.shared ~addr:(Page.base_of_id page)
+          (Bytes.to_string buf);
       Metadata.snapshot_released t.meta;
       Metadata.release_page_buf t.meta buf)
     ts.snapshots;
   Hashtbl.reset ts.snapshots;
-  ts.touch_order <- [];
+  ts.touch_order <- []
+
+(* Crash containment (an extension beyond the paper; see DESIGN.md).
+   Slice privacy makes this sound and cheap: the thread's stores since
+   its last release point live only in its private copy-on-write view
+   and in its open snapshot set — nothing has been published.  Discard
+   the open slice; the thread's previously released slices stay in the
+   metadata space and remain visible through the regular acquire-time
+   propagation.  The thread is marked exited so it stops pinning the GC
+   frontier. *)
+let do_crashed t ~tid =
+  let ts = state t ~tid in
+  drop_open_slice t ts ~restore:false;
   (* Pending lazy writes were already committed by their writers; this
      only drops the crashed thread's private, never-again-read view. *)
   Hashtbl.reset ts.lazy_pending;
@@ -386,17 +396,7 @@ let do_crashed t ~tid =
    lost span from the registered restart point re-executes the same
    deterministic stores against the same pre-span memory, so the
    recovered slices are bit-identical to what the crash destroyed. *)
-let crash_recoverable t ~tid =
-  let ts = state t ~tid in
-  Hashtbl.iter
-    (fun page buf ->
-      Space.blit_string ts.shared ~addr:(Page.base_of_id page)
-        (Bytes.to_string buf);
-      Metadata.snapshot_released t.meta;
-      Metadata.release_page_buf t.meta buf)
-    ts.snapshots;
-  Hashtbl.reset ts.snapshots;
-  ts.touch_order <- []
+let crash_recoverable t ~tid = drop_open_slice t (state t ~tid) ~restore:true
 
 (* Engine.I_corrupt: silently flip a byte in the newest live slice the
    thread has published.  Nothing is signalled here — the damage must
@@ -577,7 +577,7 @@ let audit_metadata t =
     t.states
 
 let on_finish t () =
-  if t.opts.verify_metadata then audit_metadata t;
+  audit_metadata t;
   let p = prof t in
   let n = Engine.peak_live_threads t.engine in
   let shared = shared_union_bytes t in
@@ -634,7 +634,7 @@ let make_with_state ?(opts = Options.default) engine =
       on_thread_crash =
         (fun ~tid _exn ->
           do_crashed t ~tid;
-          Sync.on_thread_crash sync ~tid);
+          Sync.on_thread_crash sync ~tid ~restart:false);
       on_step = (fun () -> Sync.poll sync);
       on_finish = (fun () -> on_finish t ());
     }

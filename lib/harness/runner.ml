@@ -58,13 +58,12 @@ type run_result = {
   profile : Rfdet_sim.Profile.t;
   threads : int;
   ops : int;
-  trace : Rfdet_sim.Engine.trace_entry list;
   crashes : (int * string) list;
   thread_clocks : (int * int) list;
 }
 
 let run ?(threads = 4) ?(scale = 1.0) ?(input_seed = 42L) ?(sched_seed = 1L)
-    ?(jitter = 0.) ?(cost = Rfdet_sim.Cost.default) ?(trace = 0) ?faults
+    ?(jitter = 0.) ?(cost = Rfdet_sim.Cost.default) ?faults
     ?(failure_mode = Engine.Contain) ?recover_config
     ?(obs = Rfdet_obs.Sink.null) ?sched_tap runtime workload =
   let cfg = { Workload.threads; scale; input_seed } in
@@ -84,7 +83,6 @@ let run ?(threads = 4) ?(scale = 1.0) ?(input_seed = 42L) ?(sched_seed = 1L)
       cost;
       seed = sched_seed;
       jitter_mean = jitter;
-      trace_capacity = trace;
       failure_mode = effective_mode;
       (* a fresh injector per run: occurrence counters are mutable *)
       inject = Option.map Rfdet_fault.Fault_plan.injector faults;
@@ -98,38 +96,19 @@ let run ?(threads = 4) ?(scale = 1.0) ?(input_seed = 42L) ?(sched_seed = 1L)
      fence baselines (dthreads, coredet) and pthreads have no
      per-thread recovery path and run unmanaged. *)
   let maker engine =
-    let base, hooks =
-      match runtime with
-      | Rfdet opts ->
-        let state, policy =
-          Rfdet_core.Rfdet_runtime.make_with_state ~opts engine
-        in
-        ( policy,
-          Some
-            {
-              Recover.rh_sync = Some (Rfdet_core.Rfdet_runtime.sync state);
-              prepare_restart =
-                (fun ~tid ->
-                  Rfdet_core.Rfdet_runtime.crash_recoverable state ~tid);
-            } )
-      | Kendo ->
-        let sync, policy =
-          Rfdet_baselines.Kendo_runtime.make_with_sync engine
-        in
-        ( policy,
-          Some
-            {
-              Recover.rh_sync = Some sync;
-              prepare_restart = (fun ~tid:_ -> ());
-            } )
-      | Pthreads | Dthreads | Coredet -> ((make_policy runtime) engine, None)
-    in
-    match effective_mode, hooks with
-    | Engine.Recover, Some hooks ->
-      let mgr = Recover.create ?config:recover_config engine hooks in
-      Recover.register mgr ~tid:0 main;
-      Recover.attach mgr base
-    | _ -> base
+    let manage = Recover.manage ?config:recover_config engine ~main in
+    match effective_mode, runtime with
+    | Engine.Recover, Rfdet opts ->
+      let state, policy =
+        Rfdet_core.Rfdet_runtime.make_with_state ~opts engine
+      in
+      manage ~sync:(Rfdet_core.Rfdet_runtime.sync state)
+        ~prepare_restart:(Rfdet_core.Rfdet_runtime.crash_recoverable state)
+        policy
+    | Engine.Recover, Kendo ->
+      let sync, policy = Rfdet_baselines.Kendo_runtime.make_with_sync engine in
+      manage ~sync ~prepare_restart:(fun ~tid:_ -> ()) policy
+    | _ -> make_policy runtime engine
   in
   let t0 = Unix.gettimeofday () in
   let r = Engine.run ~config maker ~main in
@@ -145,7 +124,6 @@ let run ?(threads = 4) ?(scale = 1.0) ?(input_seed = 42L) ?(sched_seed = 1L)
     profile = r.Engine.profile;
     threads = r.Engine.threads;
     ops = r.Engine.ops;
-    trace = r.Engine.trace;
     crashes = r.Engine.crashes;
     thread_clocks = r.Engine.thread_clocks;
   }

@@ -41,7 +41,6 @@ type run_result = {
   profile : Rfdet_sim.Profile.t;
   threads : int;
   ops : int;
-  trace : Rfdet_sim.Engine.trace_entry list;  (** empty unless requested *)
   crashes : (int * string) list;
       (** contained thread crashes, (tid, exception text) by tid;
           empty for clean runs *)
@@ -57,7 +56,6 @@ val run :
   ?sched_seed:int64 ->
   ?jitter:float ->
   ?cost:Rfdet_sim.Cost.t ->
-  ?trace:int ->
   ?faults:Rfdet_fault.Fault_plan.t ->
   ?failure_mode:Rfdet_sim.Engine.failure_mode ->
   ?recover_config:Rfdet_recover.Recover.config ->

@@ -43,6 +43,13 @@ let fault = 1
 
 let busy = 2
 
+(* Lock poisoning (à la Rust's): a crash that releases a mutex, rwlock,
+   semaphore or deque marks it with the crashed tid.  The mark is sticky
+   until healed and observed by every later acquirer.  A clean release
+   by that same (restarted) thread heals it — it held the object and
+   re-established the invariant. *)
+type poison = { mutable poisoned_by : int option }
+
 type mutex_state = {
   mutable owner : int option;
   queue : (int * int * int) Queue.t;
@@ -50,13 +57,7 @@ type mutex_state = {
          the lock and when its deterministic turn put it in this queue —
          the trace splits its total wait into arbiter vs. queue time *)
   mutable acquired_at : int;  (* grant time of the current owner *)
-  mutable poisoned : bool;
-      (* a crash released this mutex; sticky until healed, observed by
-         every later acquirer (à la Rust's lock poisoning) *)
-  mutable poisoned_by : int option;
-      (* the tid whose crash poisoned it: a clean unlock by that same
-         (restarted) thread heals the mutex — it held the lock and
-         re-established the invariant *)
+  poison : poison;
 }
 
 (* Condvar waiters carry the Kendo stamp ((icount, tid)) they entered
@@ -83,8 +84,7 @@ type rwlock_state = {
   mutable rw_readers : int list;  (* current batch, admission order *)
   mutable rw_waiting : rw_waiter list;  (* ascending stamp *)
   mutable rw_acquired_at : int;  (* grant time of writer / batch start *)
-  mutable rw_poisoned : bool;
-  mutable rw_poisoned_by : int option;
+  rw_poison : poison;
 }
 
 type sem_state = {
@@ -92,8 +92,7 @@ type sem_state = {
   mutable sem_held : (int * int) list;  (* tid -> permits held *)
   mutable sem_waiting : (int * (int * int) * int * int) list;
       (* (tid, stamp, asked, enqueued), ascending stamp *)
-  mutable sem_poisoned : bool;
-  mutable sem_poisoned_by : int option;
+  sem_poison : poison;
 }
 
 type deque_state = {
@@ -101,8 +100,7 @@ type deque_state = {
   mutable dq_items : (int * (int * int)) list;
       (* (value, push stamp), oldest first: the owner pushes/pops at the
          back (LIFO), thieves steal from the front (the oldest item) *)
-  mutable dq_poisoned : bool;
-  mutable dq_poisoned_by : int option;
+  dq_poison : poison;
 }
 
 type barrier_state = {
@@ -218,8 +216,7 @@ let mutex_create t =
       owner = None;
       queue = Queue.create ();
       acquired_at = 0;
-      poisoned = false;
-      poisoned_by = None;
+      poison = { poisoned_by = None };
     };
   Engine.Done h
 
@@ -236,8 +233,7 @@ let rwlock_create t =
       rw_readers = [];
       rw_waiting = [];
       rw_acquired_at = 0;
-      rw_poisoned = false;
-      rw_poisoned_by = None;
+      rw_poison = { poisoned_by = None };
     };
   Engine.Done h
 
@@ -249,15 +245,14 @@ let sem_create t ~permits =
       sem_permits = permits;
       sem_held = [];
       sem_waiting = [];
-      sem_poisoned = false;
-      sem_poisoned_by = None;
+      sem_poison = { poisoned_by = None };
     };
   Engine.Done h
 
 let deque_create t ~tid =
   let h = fresh_handle t in
   Hashtbl.replace t.deques h
-    { dq_owner = tid; dq_items = []; dq_poisoned = false; dq_poisoned_by = None };
+    { dq_owner = tid; dq_items = []; dq_poison = { poisoned_by = None } };
   Engine.Done h
 
 let barrier_create t ~parties =
@@ -272,48 +267,9 @@ let barrier_create t ~parties =
     };
   Engine.Done h
 
-(* Grant the mutex to [tid] at time [now]: run the acquire hook and wake
-   the thread.  The thread is currently inactive/blocked.  [asked] is
-   when the thread first requested the lock, [enq] when its turn put it
-   in the wait queue ([= now] for an uncontended grant). *)
-let grant_mutex t ~tid ~mutex ~now ~asked ~enq =
-  let st = mutex_state t mutex in
-  assert (st.owner = None);
-  st.owner <- Some tid;
-  st.acquired_at <- now;
-  (* the wait completed before any lock_timed deadline *)
-  Arbiter.cancel_timer t.arb ~tid;
-  (let o = obs t in
-   if Rfdet_obs.Sink.enabled o then
-     Rfdet_obs.Sink.emit o ~tid ~time:now
-       (Rfdet_obs.Trace.Lock_acquire
-          {
-            obj = "mutex";
-            handle = mutex;
-            wait = max 0 (now - asked);
-            queued = max 0 (now - enq);
-          }));
-  let extra = t.hooks.acquire ~tid ~obj:(Mutex_obj mutex) ~now in
-  Arbiter.set_active t.arb ~tid;
-  Engine.wake t.engine ~tid
-    ~value:(if st.poisoned then fault else ok)
-    ~not_before:(now + sync_cost t + extra)
-
-let emit_release t ~tid ~mutex ~now =
-  let o = obs t in
-  if Rfdet_obs.Sink.enabled o then
-    let st = mutex_state t mutex in
-    Rfdet_obs.Sink.emit o ~tid ~time:now
-      (Rfdet_obs.Trace.Lock_release
-         { obj = "mutex"; handle = mutex; hold = max 0 (now - st.acquired_at) })
-
-let remove_from_queue q ~tid =
-  let kept =
-    Queue.fold (fun acc ((w, _, _) as e) -> if w = tid then acc else e :: acc)
-      [] q
-  in
-  Queue.clear q;
-  List.iter (fun x -> Queue.add x q) (List.rev kept)
+(* [o = Some tid], typed at int. *)
+let is_tid (o : int option) tid =
+  match o with Some x -> x = tid | None -> false
 
 let emit_acquire_ev t ~tid ~obj ~handle ~now ~asked ~enq =
   let o = obs t in
@@ -340,18 +296,52 @@ let emit_recovery t ~tid ~now ~action ~target ~attempt ~cycles =
     Rfdet_obs.Sink.emit o ~tid ~time:now
       (Rfdet_obs.Trace.Recovery { action; target; attempt; cycles })
 
-(* Un-poison: the caller holds the mutex and vouches for the protected
-   invariant (explicitly via [mutex_heal], or implicitly by being the
-   restarted crasher completing a clean critical section). *)
-let heal_mutex t ~tid ~mutex ~now =
-  let st = mutex_state t mutex in
-  if st.poisoned then begin
-    st.poisoned <- false;
-    st.poisoned_by <- None;
-    let p = Engine.profile t.engine in
-    p.heals <- p.heals + 1;
-    emit_recovery t ~tid ~now ~action:"heal" ~target:mutex ~attempt:0 ~cycles:0
+let poisoned p = Option.is_some p.poisoned_by
+
+(* What a grant wakes its thread with: [fault] while poisoned. *)
+let grant_value p = if poisoned p then fault else ok
+
+(* Un-poison the object [handle] names: the caller vouches for the
+   protected invariant — explicitly through the heal op, or implicitly
+   as the restarted crasher completing a clean release. *)
+let heal t ~tid ~handle ~now p =
+  if poisoned p then begin
+    p.poisoned_by <- None;
+    let prof = Engine.profile t.engine in
+    prof.heals <- prof.heals + 1;
+    emit_recovery t ~tid ~now ~action:"heal" ~target:handle ~attempt:0
+      ~cycles:0
   end
+
+(* Grant the mutex to [tid] at time [now]: run the acquire hook and wake
+   the thread.  The thread is currently inactive/blocked.  [asked] is
+   when the thread first requested the lock, [enq] when its turn put it
+   in the wait queue ([= now] for an uncontended grant). *)
+let grant_mutex t ~tid ~mutex ~now ~asked ~enq =
+  let st = mutex_state t mutex in
+  assert (st.owner = None);
+  st.owner <- Some tid;
+  st.acquired_at <- now;
+  (* the wait completed before any lock_timed deadline *)
+  Arbiter.cancel_timer t.arb ~tid;
+  emit_acquire_ev t ~tid ~obj:"mutex" ~handle:mutex ~now ~asked ~enq;
+  let extra = t.hooks.acquire ~tid ~obj:(Mutex_obj mutex) ~now in
+  Arbiter.set_active t.arb ~tid;
+  Engine.wake t.engine ~tid ~value:(grant_value st.poison)
+    ~not_before:(now + sync_cost t + extra)
+
+let emit_release t ~tid ~mutex ~now st =
+  emit_release_ev t ~tid ~obj:"mutex" ~handle:mutex ~now
+    ~held_since:st.acquired_at
+
+let remove_from_queue q ~tid =
+  let kept =
+    Queue.fold
+      (fun acc (((w : int), _, _) as e) -> if w = tid then acc else e :: acc)
+      [] q
+  in
+  Queue.clear q;
+  List.iter (fun x -> Queue.add x q) (List.rev kept)
 
 let lock t ~tid ~mutex =
   Engine.advance t.engine tid (sync_cost t);
@@ -400,20 +390,6 @@ let lock_timed t ~tid ~mutex ~timeout =
               ~not_before:(max now (Engine.clock t.engine tid) + sync_cost t)));
   Engine.Block
 
-let mutex_heal t ~tid ~mutex =
-  Engine.advance t.engine tid (sync_cost t);
-  Arbiter.request t.arb ~tid ~grant:(fun ~now ->
-      let st = mutex_state t mutex in
-      (match st.owner with
-      | Some owner when owner = tid -> ()
-      | Some _ | None ->
-        invalid_arg
-          (Printf.sprintf "Sync.mutex_heal: tid %d does not hold mutex %d" tid
-             mutex));
-      heal_mutex t ~tid ~mutex ~now;
-      Engine.wake t.engine ~tid ~value:0 ~not_before:(now + sync_cost t));
-  Engine.Block
-
 (* Pass a free mutex to the head of its queue, if any. *)
 let pass_mutex t ~mutex ~now =
   let st = mutex_state t mutex in
@@ -435,9 +411,9 @@ let unlock t ~tid ~mutex =
              mutex));
       (* The thread whose crash poisoned this mutex completed a clean
          critical section after restarting: invariant re-established. *)
-      if st.poisoned && st.poisoned_by = Some tid then
-        heal_mutex t ~tid ~mutex ~now;
-      emit_release t ~tid ~mutex ~now;
+      if is_tid st.poison.poisoned_by tid then
+        heal t ~tid ~handle:mutex ~now st.poison;
+      emit_release t ~tid ~mutex ~now st;
       let extra = t.hooks.release ~tid ~obj:(Mutex_obj mutex) ~now in
       st.owner <- None;
       pass_mutex t ~mutex ~now:(now + extra);
@@ -455,7 +431,7 @@ let cond_wait t ~tid ~cond ~mutex =
           (Printf.sprintf "Sync.cond_wait: tid %d does not hold mutex %d" tid
              mutex));
       (* Waiting releases the mutex: a release point on the mutex. *)
-      emit_release t ~tid ~mutex ~now;
+      emit_release t ~tid ~mutex ~now mst;
       let extra = t.hooks.release ~tid ~obj:(Mutex_obj mutex) ~now in
       mst.owner <- None;
       pass_mutex t ~mutex ~now:(now + extra);
@@ -517,17 +493,6 @@ let cond_broadcast t ~tid ~cond =
 
 (* --- reader-writer locks --------------------------------------------- *)
 
-let heal_rwlock t ~tid ~rwlock ~now =
-  let st = rwlock_state t rwlock in
-  if st.rw_poisoned then begin
-    st.rw_poisoned <- false;
-    st.rw_poisoned_by <- None;
-    let p = Engine.profile t.engine in
-    p.heals <- p.heals + 1;
-    emit_recovery t ~tid ~now ~action:"heal" ~target:rwlock ~attempt:0
-      ~cycles:0
-  end
-
 let grant_rd t ~tid ~rwlock ~now ~asked ~enq =
   let st = rwlock_state t rwlock in
   assert (st.rw_writer = None);
@@ -542,7 +507,7 @@ let grant_rd t ~tid ~rwlock ~now ~asked ~enq =
   let extra = t.hooks.acquire ~tid ~obj:(Rwlock_obj rwlock) ~now in
   Arbiter.set_active t.arb ~tid;
   Engine.wake t.engine ~tid
-    ~value:(if st.rw_poisoned then fault else ok)
+    ~value:(grant_value st.rw_poison)
     ~not_before:(now + sync_cost t + extra)
 
 let grant_wr t ~tid ~rwlock ~now ~asked ~enq =
@@ -554,7 +519,7 @@ let grant_wr t ~tid ~rwlock ~now ~asked ~enq =
   let extra = t.hooks.acquire ~tid ~obj:(Rwlock_obj rwlock) ~now in
   Arbiter.set_active t.arb ~tid;
   Engine.wake t.engine ~tid
-    ~value:(if st.rw_poisoned then fault else ok)
+    ~value:(grant_value st.rw_poison)
     ~not_before:(now + sync_cost t + extra)
 
 (* Admission when the lock is fully free, in pure stamp order: a writer
@@ -581,6 +546,8 @@ let admit_rw t ~rwlock ~now =
           grant_rd t ~tid:w.rw_tid ~rwlock ~now ~asked:w.rw_asked
             ~enq:w.rw_enq)
         batch
+
+let holds_read st tid = List.exists (fun (r : int) -> r = tid) st.rw_readers
 
 let rw_insert_waiter st w =
   st.rw_waiting <-
@@ -638,16 +605,16 @@ let rwunlock t ~tid ~rwlock =
   Arbiter.request t.arb ~tid ~grant:(fun ~now ->
       let st = rwlock_state t rwlock in
       let mode =
-        if st.rw_writer = Some tid then Wr
-        else if List.mem tid st.rw_readers then Rd
+        if is_tid st.rw_writer tid then Wr
+        else if holds_read st tid then Rd
         else
           invalid_arg
             (Printf.sprintf "Sync.rwunlock: tid %d does not hold rwlock %d"
                tid rwlock)
       in
       (* clean critical section by the restarted crasher: healed *)
-      if st.rw_poisoned && st.rw_poisoned_by = Some tid then
-        heal_rwlock t ~tid ~rwlock ~now;
+      if is_tid st.rw_poison.poisoned_by tid then
+        heal t ~tid ~handle:rwlock ~now st.rw_poison;
       emit_release_ev t ~tid
         ~obj:(match mode with Wr -> "rwlock_w" | Rd -> "rwlock_r")
         ~handle:rwlock ~now ~held_since:st.rw_acquired_at;
@@ -659,29 +626,7 @@ let rwunlock t ~tid ~rwlock =
       Engine.wake t.engine ~tid ~value:0 ~not_before:(now + extra));
   Engine.Block
 
-let rwlock_heal_op t ~tid ~rwlock =
-  Engine.advance t.engine tid (sync_cost t);
-  Arbiter.request t.arb ~tid ~grant:(fun ~now ->
-      let st = rwlock_state t rwlock in
-      if not (st.rw_writer = Some tid || List.mem tid st.rw_readers) then
-        invalid_arg
-          (Printf.sprintf "Sync.heal: tid %d does not hold rwlock %d" tid
-             rwlock);
-      heal_rwlock t ~tid ~rwlock ~now;
-      Engine.wake t.engine ~tid ~value:0 ~not_before:(now + sync_cost t));
-  Engine.Block
-
 (* --- counting semaphores --------------------------------------------- *)
-
-let heal_sem t ~tid ~sem ~now =
-  let st = sem_state t sem in
-  if st.sem_poisoned then begin
-    st.sem_poisoned <- false;
-    st.sem_poisoned_by <- None;
-    let p = Engine.profile t.engine in
-    p.heals <- p.heals + 1;
-    emit_recovery t ~tid ~now ~action:"heal" ~target:sem ~attempt:0 ~cycles:0
-  end
 
 let sem_held_count st tid =
   Option.value (List.assoc_opt tid st.sem_held) ~default:0
@@ -698,7 +643,7 @@ let grant_sem t ~tid ~sem ~now ~asked ~enq =
   let extra = t.hooks.acquire ~tid ~obj:(Sem_obj sem) ~now in
   Arbiter.set_active t.arb ~tid;
   Engine.wake t.engine ~tid
-    ~value:(if st.sem_poisoned then fault else ok)
+    ~value:(grant_value st.sem_poison)
     ~not_before:(now + sync_cost t + extra)
 
 let sem_acquire t ~tid ~sem =
@@ -725,8 +670,8 @@ let sem_post t ~tid ~sem =
   Arbiter.request t.arb ~tid ~grant:(fun ~now ->
       let st = sem_state t sem in
       (* a clean post by the thread whose crash poisoned it heals *)
-      if st.sem_poisoned && st.sem_poisoned_by = Some tid then
-        heal_sem t ~tid ~sem ~now;
+      if is_tid st.sem_poison.poisoned_by tid then
+        heal t ~tid ~handle:sem ~now st.sem_poison;
       emit_release_ev t ~tid ~obj:"sem" ~handle:sem ~now ~held_since:now;
       let extra = t.hooks.release ~tid ~obj:(Sem_obj sem) ~now in
       sem_set_held st tid (max 0 (sem_held_count st tid - 1));
@@ -739,30 +684,7 @@ let sem_post t ~tid ~sem =
       Engine.wake t.engine ~tid ~value:0 ~not_before:(now + extra));
   Engine.Block
 
-let sem_heal_op t ~tid ~sem =
-  Engine.advance t.engine tid (sync_cost t);
-  Arbiter.request t.arb ~tid ~grant:(fun ~now ->
-      let st = sem_state t sem in
-      if sem_held_count st tid = 0 then
-        invalid_arg
-          (Printf.sprintf "Sync.heal: tid %d holds no permit of semaphore %d"
-             tid sem);
-      heal_sem t ~tid ~sem ~now;
-      Engine.wake t.engine ~tid ~value:0 ~not_before:(now + sync_cost t));
-  Engine.Block
-
 (* --- work-stealing deques -------------------------------------------- *)
-
-let heal_deque t ~tid ~deque ~now =
-  let st = deque_state t deque in
-  if st.dq_poisoned then begin
-    st.dq_poisoned <- false;
-    st.dq_poisoned_by <- None;
-    let p = Engine.profile t.engine in
-    p.heals <- p.heals + 1;
-    emit_recovery t ~tid ~now ~action:"heal" ~target:deque ~attempt:0
-      ~cycles:0
-  end
 
 let deque_push t ~tid ~deque ~value =
   if value < 0 then invalid_arg "Sync.deque_push: negative value";
@@ -774,8 +696,8 @@ let deque_push t ~tid ~deque ~value =
           (Printf.sprintf "Sync.deque_push: tid %d does not own deque %d"
              tid deque);
       (* the restarted owner producing work again heals its deque *)
-      if st.dq_poisoned && st.dq_poisoned_by = Some tid then
-        heal_deque t ~tid ~deque ~now;
+      if is_tid st.dq_poison.poisoned_by tid then
+        heal t ~tid ~handle:deque ~now st.dq_poison;
       (* a push is a release: thieves must see the published item *)
       let extra = t.hooks.release ~tid ~obj:(Deque_obj deque) ~now in
       st.dq_items <- st.dq_items @ [ (value, stamp_of t tid) ];
@@ -791,7 +713,7 @@ let deque_pop t ~tid ~deque =
         invalid_arg
           (Printf.sprintf "Sync.deque_pop: tid %d does not own deque %d" tid
              deque);
-      if st.dq_poisoned then
+      if poisoned st.dq_poison then
         Engine.wake t.engine ~tid ~value:(-2)
           ~not_before:(now + sync_cost t)
       else
@@ -818,7 +740,7 @@ let deque_steal t ~tid ~own =
       let best =
         Hashtbl.fold
           (fun h st acc ->
-            if h = own || st.dq_poisoned then acc
+            if h = own || poisoned st.dq_poison then acc
             else
               match st.dq_items with
               | [] -> acc
@@ -851,22 +773,44 @@ let deque_steal t ~tid ~own =
           ~not_before:(now + sync_cost t + extra));
   Engine.Block
 
-let deque_heal_op t ~tid ~deque =
+(* The heal op: un-poison by handle, whatever kind of object the handle
+   names (handles are unique across kinds, so dispatch is unambiguous).
+   The caller must hold a mutex, rwlock or semaphore it heals; anyone
+   may heal a deque (its owner is dead). *)
+let heal_op t ~tid ~handle =
+  let refuse fmt = invalid_arg (Printf.sprintf fmt tid handle) in
+  (* the kind is resolved now; ownership is checked at the grant *)
+  let vouch =
+    match
+      ( Hashtbl.find_opt t.mutexes handle,
+        Hashtbl.find_opt t.rwlocks handle,
+        Hashtbl.find_opt t.sems handle,
+        Hashtbl.find_opt t.deques handle )
+    with
+    | Some st, _, _, _ ->
+      fun () ->
+        if not (is_tid st.owner tid) then
+          refuse "Sync.mutex_heal: tid %d does not hold mutex %d";
+        st.poison
+    | _, Some st, _, _ ->
+      fun () ->
+        if not (is_tid st.rw_writer tid || holds_read st tid) then
+          refuse "Sync.heal: tid %d does not hold rwlock %d";
+        st.rw_poison
+    | _, _, Some st, _ ->
+      fun () ->
+        if sem_held_count st tid = 0 then
+          refuse "Sync.heal: tid %d holds no permit of semaphore %d";
+        st.sem_poison
+    | _, _, _, Some st -> fun () -> st.dq_poison
+    | None, None, None, None ->
+      invalid_arg (Printf.sprintf "Sync.heal: unknown handle %d" handle)
+  in
   Engine.advance t.engine tid (sync_cost t);
   Arbiter.request t.arb ~tid ~grant:(fun ~now ->
-      heal_deque t ~tid ~deque ~now;
+      heal t ~tid ~handle ~now (vouch ());
       Engine.wake t.engine ~tid ~value:0 ~not_before:(now + sync_cost t));
   Engine.Block
-
-(* Un-poison by handle, whatever kind of object the handle names.
-   Handles are unique across kinds, so dispatch is unambiguous. *)
-let heal t ~tid ~handle =
-  if Hashtbl.mem t.mutexes handle then mutex_heal t ~tid ~mutex:handle
-  else if Hashtbl.mem t.rwlocks handle then
-    rwlock_heal_op t ~tid ~rwlock:handle
-  else if Hashtbl.mem t.sems handle then sem_heal_op t ~tid ~sem:handle
-  else if Hashtbl.mem t.deques handle then deque_heal_op t ~tid ~deque:handle
-  else invalid_arg (Printf.sprintf "Sync.heal: unknown handle %d" handle)
 
 let barrier_wait t ~tid ~barrier =
   Engine.advance t.engine tid (sync_cost t);
@@ -974,7 +918,7 @@ let handle t ~tid (op : Op.t) =
   | Op.Lock m -> lock t ~tid ~mutex:m
   | Op.Trylock m -> trylock t ~tid ~mutex:m
   | Op.Lock_timed { mutex; timeout } -> lock_timed t ~tid ~mutex ~timeout
-  | Op.Mutex_heal h -> heal t ~tid ~handle:h
+  | Op.Mutex_heal h -> heal_op t ~tid ~handle:h
   | Op.Unlock m -> unlock t ~tid ~mutex:m
   | Op.Cond_wait { cond; mutex } -> cond_wait t ~tid ~cond ~mutex
   | Op.Cond_signal cond -> cond_signal t ~tid ~cond
@@ -1013,19 +957,27 @@ let on_thread_exit t ~tid =
       waiting);
   Arbiter.poll t.arb
 
-(* Crash containment.  Everything here iterates objects in ascending
-   handle order, so the repair sequence — and therefore which survivor
-   observes what — is a pure function of the crash point, never of the
-   physical interleaving that led to it. *)
-let on_thread_crash t ~tid =
-  Hashtbl.replace t.crashed tid ();
+(* Crash repair, for containment and for a restart alike.  Under DLRC a
+   crashed thread has published nothing since its last release, so both
+   need the same sync-layer repair; [restart] decides the three ways
+   they differ.  A contained thread is marked crashed, breaks its
+   barriers and fails its joiners.  A thread about to restart keeps its
+   joiners waiting for the restarted body and retracts its barrier
+   arrivals, so it can arrive again.  Everything here iterates objects
+   in ascending handle order, so the repair sequence — and therefore
+   which survivor observes what — is a pure function of the crash point,
+   never of the physical interleaving that led to it. *)
+let on_thread_crash t ~tid ~restart =
+  if not restart then Hashtbl.replace t.crashed tid ();
   (* The arbiter must forget the thread: a crashed thread's logical
      clock never advances, and leaving it Active would block every
      later turn grant forever. *)
   Arbiter.thread_finished t.arb ~tid;
   let sorted_handles tbl pred =
-    Hashtbl.fold (fun h st acc -> if pred st then h :: acc else acc) tbl []
-    |> List.sort compare
+    Hashtbl.fold
+      (fun (h : int) st acc -> if pred st then h :: acc else acc)
+      tbl []
+    |> List.sort Int.compare
   in
   (* 1. Purge the crashed thread from every wait queue so no later
      hand-off resurrects it. *)
@@ -1050,36 +1002,40 @@ let on_thread_crash t ~tid =
       | [] -> None
       | l -> Some l)
     t.joiners;
+  if restart then
+    Hashtbl.iter
+      (fun _ st ->
+        st.arrived <- List.filter (fun (p, _) -> p <> tid) st.arrived)
+      t.barriers;
   let now = Engine.clock t.engine tid in
   (* 2. Release held mutexes as poisoned, ascending handle order; each
      passes to the deterministically-next waiter, who observes the
-     poison in its lock result. *)
+     poison in its lock result.  The crasher is recorded, so its clean
+     unlock after a restart heals them. *)
   List.iter
     (fun m ->
-      emit_release t ~tid ~mutex:m ~now;
       let st = mutex_state t m in
-      st.poisoned <- true;
-      st.poisoned_by <- Some tid;
+      emit_release t ~tid ~mutex:m ~now st;
+      st.poison.poisoned_by <- Some tid;
       st.owner <- None;
       pass_mutex t ~mutex:m ~now)
-    (sorted_handles t.mutexes (fun st -> st.owner = Some tid));
+    (sorted_handles t.mutexes (fun st -> is_tid st.owner tid));
   (* 2b. Same for rwlocks the crashed thread held (as writer or reader):
      poison, drop the hold, admit the deterministically-next batch. *)
   List.iter
     (fun rw ->
       let st = rwlock_state t rw in
-      let mode = if st.rw_writer = Some tid then Wr else Rd in
+      let mode = if is_tid st.rw_writer tid then Wr else Rd in
       emit_release_ev t ~tid
         ~obj:(match mode with Wr -> "rwlock_w" | Rd -> "rwlock_r")
         ~handle:rw ~now ~held_since:st.rw_acquired_at;
-      st.rw_poisoned <- true;
-      st.rw_poisoned_by <- Some tid;
+      st.rw_poison.poisoned_by <- Some tid;
       (match mode with
       | Wr -> st.rw_writer <- None
       | Rd -> st.rw_readers <- List.filter (fun r -> r <> tid) st.rw_readers);
       admit_rw t ~rwlock:rw ~now)
     (sorted_handles t.rwlocks (fun st ->
-         st.rw_writer = Some tid || List.mem tid st.rw_readers));
+         is_tid st.rw_writer tid || holds_read st tid));
   (* 2c. Semaphores: permits died with their holder.  Return them (so
      the pool keeps its capacity), poison the semaphore, and serve
      waiters that the returned permits can now admit. *)
@@ -1088,8 +1044,7 @@ let on_thread_crash t ~tid =
       let st = sem_state t s in
       let n = sem_held_count st tid in
       sem_set_held st tid 0;
-      st.sem_poisoned <- true;
-      st.sem_poisoned_by <- Some tid;
+      st.sem_poison.poisoned_by <- Some tid;
       st.sem_permits <- st.sem_permits + n;
       let rec drain () =
         if st.sem_permits > 0 then
@@ -1107,134 +1062,42 @@ let on_thread_crash t ~tid =
      may be half-constructed, so pops/steals observe the poison until a
      heal (or the restarted owner pushing again) vouches for it. *)
   List.iter
-    (fun dq ->
-      let st = deque_state t dq in
-      st.dq_poisoned <- true;
-      st.dq_poisoned_by <- Some tid)
+    (fun dq -> (deque_state t dq).dq_poison.poisoned_by <- Some tid)
     (sorted_handles t.deques (fun st -> st.dq_owner = tid));
-  (* 3. Break every barrier the crashed thread was a party to (it has
-     waited there at least once): release the stranded waiters with an
-     error now, and fail all future waits.  Without this, survivors of
-     an iterative barrier loop would wait forever for a party that is
-     never coming back. *)
-  List.iter
-    (fun b ->
-      let st = barrier_state t b in
-      st.broken <- true;
-      let stranded =
-        List.rev_map fst (List.filter (fun (p, _) -> p <> tid) st.arrived)
-        |> List.rev
-      in
-      st.arrived <- [];
-      List.iter
-        (fun party ->
-          Arbiter.set_active t.arb ~tid:party;
-          Engine.wake t.engine ~tid:party ~value:fault
-            ~not_before:(max now (Engine.clock t.engine party)))
-        stranded)
-    (sorted_handles t.barriers (fun st -> Hashtbl.mem st.participants tid));
-  (* 4. Joiners of the crashed thread get an error instead of waiting
-     forever. *)
-  (match Hashtbl.find_opt t.joiners tid with
-  | None -> ()
-  | Some waiting ->
-    Hashtbl.remove t.joiners tid;
+  if not restart then begin
+    (* 3. Break every barrier the crashed thread was a party to (it has
+       waited there at least once): release the stranded waiters with an
+       error now, and fail all future waits.  Without this, survivors of
+       an iterative barrier loop would wait forever for a party that is
+       never coming back. *)
     List.iter
-      (fun joiner ->
-        complete_join_crashed t ~tid:joiner
-          ~now:(max now (Engine.clock t.engine joiner)))
-      waiting);
-  Arbiter.poll t.arb
-
-(* Recoverable crash: the thread will be resurrected, so the world must
-   stay waitable-for.  Compared to full containment this (1) does NOT
-   mark the thread crashed — joins keep blocking until the restarted
-   body exits; (2) does NOT break barriers — the restarted thread will
-   re-arrive (its own stale arrival is retracted); (3) still poisons and
-   hands off held mutexes, recording the crasher so its clean unlock
-   after restart heals them.  Same ascending-handle determinism as
-   [on_thread_crash]. *)
-let on_thread_crash_recoverable t ~tid =
-  Arbiter.thread_finished t.arb ~tid;
-  let sorted_handles tbl pred =
-    Hashtbl.fold (fun h st acc -> if pred st then h :: acc else acc) tbl []
-    |> List.sort compare
-  in
-  Hashtbl.iter (fun _ st -> remove_from_queue st.queue ~tid) t.mutexes;
-  Hashtbl.iter
-    (fun _ st ->
-      st.cond_waiters <-
-        List.filter (fun (w, _, _) -> w <> tid) st.cond_waiters)
-    t.conds;
-  Hashtbl.iter
-    (fun _ st ->
-      st.rw_waiting <- List.filter (fun w -> w.rw_tid <> tid) st.rw_waiting)
-    t.rwlocks;
-  Hashtbl.iter
-    (fun _ st ->
-      st.sem_waiting <-
-        List.filter (fun (w, _, _, _) -> w <> tid) st.sem_waiting)
-    t.sems;
-  Hashtbl.filter_map_inplace
-    (fun _ joiners ->
-      match List.filter (fun j -> j <> tid) joiners with
-      | [] -> None
-      | l -> Some l)
-    t.joiners;
-  Hashtbl.iter
-    (fun _ st -> st.arrived <- List.filter (fun (p, _) -> p <> tid) st.arrived)
-    t.barriers;
-  let now = Engine.clock t.engine tid in
-  List.iter
-    (fun m ->
-      emit_release t ~tid ~mutex:m ~now;
-      let st = mutex_state t m in
-      st.poisoned <- true;
-      st.poisoned_by <- Some tid;
-      st.owner <- None;
-      pass_mutex t ~mutex:m ~now)
-    (sorted_handles t.mutexes (fun st -> st.owner = Some tid));
-  List.iter
-    (fun rw ->
-      let st = rwlock_state t rw in
-      let mode = if st.rw_writer = Some tid then Wr else Rd in
-      emit_release_ev t ~tid
-        ~obj:(match mode with Wr -> "rwlock_w" | Rd -> "rwlock_r")
-        ~handle:rw ~now ~held_since:st.rw_acquired_at;
-      st.rw_poisoned <- true;
-      st.rw_poisoned_by <- Some tid;
-      (match mode with
-      | Wr -> st.rw_writer <- None
-      | Rd -> st.rw_readers <- List.filter (fun r -> r <> tid) st.rw_readers);
-      admit_rw t ~rwlock:rw ~now)
-    (sorted_handles t.rwlocks (fun st ->
-         st.rw_writer = Some tid || List.mem tid st.rw_readers));
-  List.iter
-    (fun s ->
-      let st = sem_state t s in
-      let n = sem_held_count st tid in
-      sem_set_held st tid 0;
-      st.sem_poisoned <- true;
-      st.sem_poisoned_by <- Some tid;
-      st.sem_permits <- st.sem_permits + n;
-      let rec drain () =
-        if st.sem_permits > 0 then
-          match st.sem_waiting with
-          | (waiter, _, asked, enq) :: rest ->
-            st.sem_waiting <- rest;
-            st.sem_permits <- st.sem_permits - 1;
-            grant_sem t ~tid:waiter ~sem:s ~now ~asked ~enq;
-            drain ()
-          | [] -> ()
-      in
-      drain ())
-    (sorted_handles t.sems (fun st -> sem_held_count st tid > 0));
-  List.iter
-    (fun dq ->
-      let st = deque_state t dq in
-      st.dq_poisoned <- true;
-      st.dq_poisoned_by <- Some tid)
-    (sorted_handles t.deques (fun st -> st.dq_owner = tid));
+      (fun b ->
+        let st = barrier_state t b in
+        st.broken <- true;
+        let stranded =
+          List.rev_map fst (List.filter (fun (p, _) -> p <> tid) st.arrived)
+          |> List.rev
+        in
+        st.arrived <- [];
+        List.iter
+          (fun party ->
+            Arbiter.set_active t.arb ~tid:party;
+            Engine.wake t.engine ~tid:party ~value:fault
+              ~not_before:(max now (Engine.clock t.engine party)))
+          stranded)
+      (sorted_handles t.barriers (fun st -> Hashtbl.mem st.participants tid));
+    (* 4. Joiners of the crashed thread get an error instead of waiting
+       forever. *)
+    match Hashtbl.find_opt t.joiners tid with
+    | None -> ()
+    | Some waiting ->
+      Hashtbl.remove t.joiners tid;
+      List.iter
+        (fun joiner ->
+          complete_join_crashed t ~tid:joiner
+            ~now:(max now (Engine.clock t.engine joiner)))
+        waiting
+  end;
   Arbiter.poll t.arb
 
 (* The restarted tid rejoins the arbiter's active set with its preserved
@@ -1265,7 +1128,7 @@ let deadlock_victim t =
         match st.rw_writer with
         | Some w -> Some w
         | None -> (
-          match List.sort compare st.rw_readers with
+          match List.sort Int.compare st.rw_readers with
           | r :: _ -> Some r
           | [] -> None)
       in
@@ -1279,7 +1142,7 @@ let deadlock_victim t =
       (* A blocked semaphore waiter waits on the lowest-tid permit
          holder, when there is one. *)
       match
-        List.sort compare
+        List.sort Int.compare
           (List.filter_map
              (fun (h, n) -> if n > 0 then Some h else None)
              st.sem_held)
@@ -1296,7 +1159,7 @@ let deadlock_victim t =
   let run = ref 0 in
   let cyc = ref [] in
   let starts =
-    Hashtbl.fold (fun n _ acc -> n :: acc) next [] |> List.sort compare
+    Hashtbl.fold (fun n _ acc -> n :: acc) next [] |> List.sort Int.compare
   in
   List.iter
     (fun start ->

@@ -71,15 +71,16 @@ val handle : t -> tid:int -> Rfdet_sim.Op.t -> Rfdet_sim.Engine.outcome
     granted first the timer is cancelled; if the deadline is granted
     first the waiter leaves the queue and wakes with 2 ([`Timed_out]).
 
-    {b Heals.}  [Mutex_heal] dispatches on the handle's kind (handles
-    are unique across mutexes, rwlocks, semaphores and deques).
-    Mutexes, rwlocks and semaphores require the caller to hold the
-    object (raises [Invalid_argument] otherwise); anyone may heal a
-    poisoned deque (the owner is dead).  The caller declares the
-    protected invariant re-established.  A poisoned mutex also heals
-    automatically when the restarted thread whose crash poisoned it
-    completes a clean [Unlock].  Counted in [Profile.heals] and traced
-    as a [Recovery] event.
+    {b Heals.}  [Mutex_heal] is the one heal op: it dispatches on the
+    handle's kind (handles are unique across mutexes, rwlocks,
+    semaphores and deques).  Mutexes, rwlocks and semaphores require
+    the caller to hold the object (raises [Invalid_argument]
+    otherwise); anyone may heal a poisoned deque (the owner is dead).
+    The caller declares the protected invariant re-established.  A
+    poisoned mutex also heals automatically when the restarted thread
+    whose crash poisoned it completes a clean [Unlock] (rwlocks,
+    semaphores and deques below likewise).  Counted in [Profile.heals]
+    and traced as a [Recovery] event.
 
     {b Condition variables.}  [Cond_signal] is [cond_signal] below;
     [Cond_broadcast] wakes every waiter, in ascending stamp order.
@@ -134,29 +135,30 @@ val rmw :
 val on_thread_exit : t -> tid:int -> unit
 (** Must be wired into the policy's [on_thread_exit]. *)
 
-val on_thread_crash : t -> tid:int -> unit
-(** Crash containment: wire into the policy's [on_thread_crash] (after
-    any memory-model cleanup).  Deterministically — in ascending handle
-    order, independent of physical interleaving — this (1) removes the
-    crashed thread from the arbiter and every wait queue, (2) releases
-    each mutex it held as *poisoned* and passes it to the next waiter,
-    which observes [`Poisoned] from [Api.lock_check], (3) breaks every
-    barrier the thread was a party to (had ever waited on), waking
-    stranded parties with [`Broken] and failing all future waits on it,
-    (4) completes current and future joins on the crashed thread
-    with [`Crashed], (5) poisons and releases its rwlock holds (then
-    admits the next stamp-ordered batch), (6) returns its semaphore
-    permits as poisoned (then drains waiters against them), and
-    (7) poisons the deques it owned — queued work stays visible and
-    becomes stealable again after [Api.deque_heal]. *)
-
-val on_thread_crash_recoverable : t -> tid:int -> unit
-(** Crash cleanup for a thread that will be *restarted* (the Recover
-    path): purges it from the arbiter and every wait queue and poisons
-    its held mutexes exactly like [on_thread_crash], but does NOT mark
-    it crashed, fail its joiners, or break its barriers — joiners keep
-    waiting for the restarted body, and the thread's stale barrier
-    arrival is retracted so it can re-arrive. *)
+val on_thread_crash : t -> tid:int -> restart:bool -> unit
+(** The one crash repair, for containment ([~restart:false]: wire into
+    the policy's [on_thread_crash], after any memory-model cleanup) and
+    for a thread the recovery manager is about to restart
+    ([~restart:true]).  Under DLRC a crashed thread has published
+    nothing since its last release, so both need the same repair.
+    Deterministically — in ascending handle order of each kind,
+    independent of physical interleaving — it:
+    + marks the thread crashed, unless [restart];
+    + removes it from the arbiter and from every wait queue;
+    + with [restart], retracts its barrier arrivals, so the restarted
+      body can arrive again;
+    + releases what it held as {e poisoned}, recording the crasher:
+      each mutex passes to the next waiter, which observes [`Poisoned]
+      from [Api.lock_check]; each rwlock hold is dropped and the next
+      stamp-ordered batch admitted; its semaphore permits return to the
+      pool and drain waiters; the deques it owned are poisoned (queued
+      work becomes stealable again after [Api.deque_heal]);
+    + without [restart], breaks every barrier the thread was a party to
+      (had ever waited on), waking stranded parties with [`Broken] and
+      failing all future waits, and completes current and future joins
+      on the thread with [`Crashed] — with [restart], joiners keep
+      waiting for the restarted body;
+    + polls the arbiter. *)
 
 val on_thread_restarted : t -> tid:int -> unit
 (** Re-register a restarted tid with the arbiter (active, preserved

@@ -9,31 +9,16 @@ type config = { max_restarts : int; backoff_base : int; seed : int64 }
 
 let default_config = { max_restarts = 3; backoff_base = 1_000; seed = 0x5EEDL }
 
-type runtime_hooks = {
-  rh_sync : Sync.t option;
-  prepare_restart : tid:int -> unit;
-}
-
-let no_hooks = { rh_sync = None; prepare_restart = (fun ~tid:_ -> ()) }
-
 type registration = { mutable body : unit -> unit; mutable mark : int }
 
 type t = {
   engine : Engine.t;
   config : config;
-  hooks : runtime_hooks;
+  sync : Sync.t;
+  prepare_restart : tid:int -> unit;
   registry : (int, registration) Hashtbl.t;
   attempts : (int, int) Hashtbl.t;
 }
-
-let create ?(config = default_config) engine hooks =
-  {
-    engine;
-    config;
-    hooks;
-    registry = Hashtbl.create 8;
-    attempts = Hashtbl.create 8;
-  }
 
 let attempts t ~tid = Option.value (Hashtbl.find_opt t.attempts tid) ~default:0
 
@@ -44,6 +29,9 @@ let emit t ~tid ~action ~target ~attempt ~cycles =
       ~time:(Engine.clock t.engine tid)
       (Rfdet_obs.Trace.Recovery { action; target; attempt; cycles })
 
+(* Register (or move) [tid]'s restart closure, recording its current
+   output count as the replay mark: outputs emitted after it are
+   truncated on restart, so the replay re-emits them. *)
 let register t ~tid body =
   let mark = Engine.output_count t.engine tid in
   match Hashtbl.find_opt t.registry tid with
@@ -51,8 +39,6 @@ let register t ~tid body =
     r.body <- body;
     r.mark <- mark
   | None -> Hashtbl.replace t.registry tid { body; mark }
-
-let restartable t body = register t ~tid:(Engine.current_tid t.engine) body
 
 (* Deterministic exponential backoff in simulated cycles: base doubles
    per attempt, plus a jitter term drawn from a generator keyed by
@@ -78,12 +64,10 @@ let try_restart t ~tid =
       let prof = Engine.profile t.engine in
       (* memory first (discard the open slice, roll the private view
          back to the last release point), then the sync layer (purge
-         queues, poison held mutexes and pass them on, retract barrier
+         queues, poison held objects and pass them on, retract barrier
          arrivals) — same order as the containment path *)
-      t.hooks.prepare_restart ~tid;
-      (match t.hooks.rh_sync with
-      | Some sync -> Sync.on_thread_crash_recoverable sync ~tid
-      | None -> ());
+      t.prepare_restart ~tid;
+      Sync.on_thread_crash t.sync ~tid ~restart:true;
       let backoff = backoff_cycles t ~tid ~attempt in
       prof.restarts <- prof.restarts + 1;
       prof.backoff_cycles <- prof.backoff_cycles + backoff;
@@ -91,9 +75,7 @@ let try_restart t ~tid =
         ~cycles:0;
       emit t ~tid ~action:"backoff" ~target:tid ~attempt:(attempt + 1)
         ~cycles:backoff;
-      (match t.hooks.rh_sync with
-      | Some sync -> Sync.on_thread_restarted sync ~tid
-      | None -> ());
+      Sync.on_thread_restarted t.sync ~tid;
       Engine.restart_thread t.engine ~tid ~body:r.body
         ~not_before:(Engine.clock t.engine tid + backoff)
         ~keep_outputs:r.mark;
@@ -101,39 +83,47 @@ let try_restart t ~tid =
     end
 
 let on_deadlock t () =
-  match t.hooks.rh_sync with
+  match Sync.deadlock_victim t.sync with
   | None -> false
-  | Some sync -> (
-    match Sync.deadlock_victim sync with
-    | None -> false
-    | Some victim ->
-      let prof = Engine.profile t.engine in
-      prof.deadlock_victims <- prof.deadlock_victims + 1;
-      emit t ~tid:victim ~action:"victim" ~target:victim
-        ~attempt:(attempts t ~tid:victim + 1)
-        ~cycles:0;
-      (* crash the victim through the regular fault path: if it is
-         restartable it replays (its poisoned locks pass to the other
-         cycle members, breaking the cycle); otherwise containment
-         applies.  Either way the stall is resolved, satisfying the
-         progress contract of [Engine.set_on_deadlock]. *)
-      Engine.kill t.engine ~tid:victim Deadlock_victim;
-      true)
+  | Some victim ->
+    let prof = Engine.profile t.engine in
+    prof.deadlock_victims <- prof.deadlock_victims + 1;
+    emit t ~tid:victim ~action:"victim" ~target:victim
+      ~attempt:(attempts t ~tid:victim + 1)
+      ~cycles:0;
+    (* crash the victim through the regular fault path: if it is
+       restartable it replays (its poisoned locks pass to the other
+       cycle members, breaking the cycle); otherwise containment
+       applies.  Either way the stall is resolved, satisfying the
+       progress contract of [Engine.set_on_deadlock]. *)
+    Engine.kill t.engine ~tid:victim Deadlock_victim;
+    true
 
-let attach t (policy : Engine.policy) : Engine.policy =
-  Engine.set_on_deadlock t.engine (fun () -> on_deadlock t ());
+let manage ?(config = default_config) engine ~sync ~prepare_restart ~main
+    (policy : Engine.policy) : Engine.policy =
+  let t =
+    {
+      engine;
+      config;
+      sync;
+      prepare_restart;
+      registry = Hashtbl.create 8;
+      attempts = Hashtbl.create 8;
+    }
+  in
+  register t ~tid:0 main;
+  Engine.set_on_deadlock engine (fun () -> on_deadlock t ());
   (* [Api.checkpoint] moves a thread's restart point forward, past
      one-shot prologue work (a start gate, a handshake) that must not
      be replayed into its own post-state. *)
-  Engine.set_on_checkpoint t.engine (fun ~tid body -> register t ~tid body);
+  Engine.set_on_checkpoint engine (fun ~tid body -> register t ~tid body);
   let handle ~tid op =
     match (op : Op.t) with
     | Op.Spawn body ->
       (* every spawned thread is restartable from its entry point by
-         default; an explicit [restartable] call later moves the
-         restart point forward (checkpoint) *)
+         default; a checkpoint later moves the restart point forward *)
       let rec wrapped () =
-        register t ~tid:(Engine.current_tid t.engine) wrapped;
+        register t ~tid:(Engine.current_tid engine) wrapped;
         body ()
       in
       policy.handle ~tid (Op.Spawn wrapped)

@@ -1,16 +1,17 @@
 (** Deterministic recovery manager: thread restart, deadlock victims,
     and the retry/backoff policy (see DESIGN.md section 11).
 
-    The manager wraps a runtime's [Engine.policy] so that, under
+    [manage] wraps a runtime's [Engine.policy] so that, under
     [Engine.Recover], a crashed thread with a registered restart
     closure is resurrected instead of contained: its open slice is
-    discarded (runtime hook), its synchronization state is repaired
-    without failing joiners or breaking barriers
-    ([Sync.on_thread_crash_recoverable]), and the same tid re-runs the
-    closure after a deterministic exponential backoff charged in
-    simulated cycles.  Outputs emitted after the restart point are
-    truncated so the replay re-emits them — a restartable workload's
-    recovered run reproduces the fault-free [Engine.outputs_checksum].
+    discarded ([prepare_restart]), its synchronization state gets the
+    same repair as containment minus the three contain-only steps
+    ([Sync.on_thread_crash ~restart:true]: joiners keep waiting,
+    barriers stay whole), and the same tid re-runs the closure after a
+    deterministic exponential backoff charged in simulated cycles.
+    Outputs emitted after the restart point are truncated so the replay
+    re-emits them — a restartable workload's recovered run reproduces
+    the fault-free [Engine.outputs_checksum].
 
     Everything here is a pure function of (seed, fault plan, program):
     restart order, backoff delays and deadlock-victim choice contain no
@@ -29,42 +30,30 @@ type config = {
 
 val default_config : config
 
-type runtime_hooks = {
-  rh_sync : Rfdet_kendo.Sync.t option;
-      (** the runtime's Kendo synchronization layer, when it has one:
-          enables queue purging, lock poisoning and deadlock-victim
-          selection *)
-  prepare_restart : tid:int -> unit;
-      (** runtime-specific crash cleanup for a thread about to restart
-          (RFDet: [Rfdet_runtime.crash_recoverable] — snapshot rollback
-          of the private view) *)
-}
+val manage :
+  ?config:config ->
+  Rfdet_sim.Engine.t ->
+  sync:Rfdet_kendo.Sync.t ->
+  prepare_restart:(tid:int -> unit) ->
+  main:(unit -> unit) ->
+  Rfdet_sim.Engine.policy ->
+  Rfdet_sim.Engine.policy
+(** [manage engine ~sync ~prepare_restart ~main policy] puts the run
+    under one recovery manager ([config] defaults to
+    [default_config]) and returns the wrapped policy.  Call it once
+    per engine, from the policy maker.
+    - [sync] is the runtime's Kendo synchronization layer: the manager
+      repairs it on a restart and selects deadlock victims from it.
+    - [prepare_restart ~tid] is the runtime's memory cleanup for a
+      thread about to restart (RFDet: [Rfdet_runtime.crash_recoverable],
+      the snapshot rollback of the private view; Kendo shares memory
+      and has none).
+    - [main] is the main thread's restart closure, from the workload
+      start.
 
-val no_hooks : runtime_hooks
-(** No sync layer, no memory cleanup — for runtimes with shared
-    memory and no metadata (not generally useful alone). *)
-
-type t
-
-val create : ?config:config -> Rfdet_sim.Engine.t -> runtime_hooks -> t
-
-val attach : t -> Rfdet_sim.Engine.policy -> Rfdet_sim.Engine.policy
-(** Wrap the policy: spawned thread bodies are auto-registered as
-    restartable from their entry point, crashes go through the
-    restart/budget logic before falling back to the wrapped policy's
-    containment, and the engine's total-stall hook performs
-    deadlock-victim selection.  Attach exactly one manager per
-    engine. *)
-
-val register : t -> tid:int -> (unit -> unit) -> unit
-(** Register (or move) [tid]'s restart closure from outside the
-    thread, recording the current output count as the replay mark.
-    The harness uses this for the main thread before the run starts. *)
-
-val restartable : t -> (unit -> unit) -> unit
-(** Checkpoint from inside the running thread: the closure re-executes
-    the remainder of the span on restart, and outputs already emitted
-    are kept. *)
-
-val attempts : t -> tid:int -> int
-(** Restarts performed so far for [tid] (for tests and reports). *)
+    Every spawned thread body is restartable from its entry point, and
+    [Api.checkpoint] moves a thread's restart point forward.  A crash
+    goes through the restart and retry-budget logic before falling
+    back to [policy]'s containment, and the engine's total-stall hook
+    crashes the deadlock victim [Sync.deadlock_victim] picks with
+    [Deadlock_victim]. *)

@@ -17,17 +17,6 @@ type spec = {
   faults : Fault_plan.t option;
 }
 
-let fault_mode_name = function
-  | Engine.Abort -> "abort"
-  | Engine.Contain -> "contain"
-  | Engine.Recover -> "recover"
-
-let fault_mode_of_name = function
-  | "abort" -> Some Engine.Abort
-  | "contain" -> Some Engine.Contain
-  | "recover" -> Some Engine.Recover
-  | _ -> None
-
 let header_of_spec (spec : spec) : Journal.header =
   {
     Rfdet_check.Trace.workload = spec.workload.Workload.name;
@@ -37,7 +26,7 @@ let header_of_spec (spec : spec) : Journal.header =
     sched_seed = spec.sched_seed;
     jitter = spec.jitter;
     runtime = Runner.cli_name spec.runtime;
-    fault_mode = fault_mode_name spec.fault_mode;
+    fault_mode = Engine.failure_mode_name spec.fault_mode;
     fault_plan = Option.map Fault_plan.to_string spec.faults;
   }
 
@@ -54,7 +43,7 @@ let spec_of_header (h : Journal.header) : (spec, string) result =
     | None -> Error (Printf.sprintf "unknown runtime %S" h.runtime)
   in
   let* fault_mode =
-    match fault_mode_of_name h.fault_mode with
+    match List.assoc_opt h.fault_mode Engine.failure_modes with
     | Some m -> Ok m
     | None -> Error (Printf.sprintf "unknown fault mode %S" h.fault_mode)
   in

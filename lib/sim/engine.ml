@@ -5,6 +5,11 @@ module Vec = Rfdet_util.Vec
 
 type failure_mode = Abort | Contain | Recover
 
+let failure_modes =
+  [ ("contain", Contain); ("abort", Abort); ("recover", Recover) ]
+
+let failure_mode_name m = fst (List.find (fun (_, m') -> m' = m) failure_modes)
+
 type injection = I_none | I_crash | I_fail | I_delay of int | I_corrupt
 
 type sched_point = {
@@ -21,7 +26,6 @@ type config = {
   seed : int64;
   jitter_mean : float;
   max_ops : int;
-  trace_capacity : int;
   failure_mode : failure_mode;
   inject : (tid:int -> Op.t -> injection) option;
   choose : (sched_point -> int) option;
@@ -36,7 +40,6 @@ let default_config =
     seed = 1L;
     jitter_mean = 0.;
     max_ops = 200_000_000;
-    trace_capacity = 0;
     failure_mode = Abort;
     inject = None;
     choose = None;
@@ -96,20 +99,12 @@ type policy = {
 
 let escalate_crash ~tid e = raise (Thread_failure (tid, e))
 
-type trace_entry = {
-  t_tid : int;
-  t_op : string;
-  t_clock : int;
-  t_icount : int;
-}
-
 type result = {
   sim_time : int;
   outputs : (int * int64) list;
   profile : Profile.t;
   threads : int;
   ops : int;
-  trace : trace_entry list;
   crashes : (int * string) list;
   thread_clocks : (int * int) list;
 }
@@ -125,8 +120,6 @@ type t = {
   mutable ops : int;
   mutable unfinished : int;
   mutable peak_live : int;
-  trace_ring : trace_entry option array;  (* empty when tracing is off *)
-  mutable trace_next : int;
   mutable policy : policy option;
   mutable crashes : (int * string) list;  (* reversed crash order *)
   mutable decisions : int;
@@ -478,17 +471,6 @@ let handle_op t th op k =
   (match t.config.observe with
   | None -> ()
   | Some f -> f ~tid:th.tid op);
-  if Array.length t.trace_ring > 0 then begin
-    t.trace_ring.(t.trace_next) <-
-      Some
-        {
-          t_tid = th.tid;
-          t_op = Op.name op;
-          t_clock = th.clock;
-          t_icount = th.icount;
-        };
-    t.trace_next <- (t.trace_next + 1) mod Array.length t.trace_ring
-  end;
   let injection =
     match t.config.inject with
     | None -> I_none
@@ -729,8 +711,6 @@ let run ?(config = default_config) make_policy ~main =
       ops = 0;
       unfinished = 0;
       peak_live = 0;
-      trace_ring = Array.make (max 0 config.trace_capacity) None;
-      trace_next = 0;
       policy = None;
       crashes = [];
       decisions = 0;
@@ -750,15 +730,6 @@ let run ?(config = default_config) make_policy ~main =
   let sim_time =
     List.fold_left (fun acc th -> max acc th.clock) 0 (Vec.to_list t.threads)
   in
-  let trace =
-    if Array.length t.trace_ring = 0 then []
-    else begin
-      let n = Array.length t.trace_ring in
-      List.filter_map
-        (fun i -> t.trace_ring.((t.trace_next + i) mod n))
-        (List.init n (fun i -> i))
-    end
-  in
   let thread_clocks =
     List.map (fun th -> (th.tid, th.clock)) (Vec.to_list t.threads)
   in
@@ -773,7 +744,6 @@ let run ?(config = default_config) make_policy ~main =
     profile = t.prof;
     threads = Vec.length t.threads;
     ops = t.ops;
-    trace;
     crashes = List.sort cmp_crash t.crashes;
     thread_clocks;
   }

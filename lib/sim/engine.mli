@@ -50,6 +50,14 @@ type t
       [outputs_checksum] ignores them for fault-free comparison. *)
 type failure_mode = Abort | Contain | Recover
 
+val failure_modes : (string * failure_mode) list
+(** The one spelling of each mode, in the CLI's presentation order:
+    [--fault-mode], journal and schedule-trace headers and the clinic
+    report all read it. *)
+
+val failure_mode_name : failure_mode -> string
+(** The [failure_modes] name of a mode. *)
+
 (** A fault-injection decision for one operation, consulted through
     [config.inject] at every operation boundary:
 
@@ -112,9 +120,6 @@ type config = {
   seed : int64;
   jitter_mean : float;  (** mean extra cycles per op; 0 disables jitter *)
   max_ops : int;  (** abort threshold against livelocked policies *)
-  trace_capacity : int;
-      (** keep the last N operations as a trace (0 = off, the default);
-          see [result.trace] — a debugging aid for runtime authors *)
   failure_mode : failure_mode;  (** default [Abort] *)
   inject : (tid:int -> Op.t -> injection) option;
       (** fault-injection oracle, consulted before every operation;
@@ -301,13 +306,6 @@ val ops_executed : t -> int
 
 (** {1 Running} *)
 
-type trace_entry = {
-  t_tid : int;
-  t_op : string;  (** [Op.name] of the operation *)
-  t_clock : int;  (** thread clock when the operation was issued *)
-  t_icount : int;
-}
-
 type result = {
   sim_time : int;  (** max final thread clock — the run's makespan *)
   outputs : (int * int64) list;
@@ -316,8 +314,6 @@ type result = {
   profile : Profile.t;
   threads : int;
   ops : int;
-  trace : trace_entry list;
-      (** the last [trace_capacity] operations, oldest first *)
   crashes : (int * string) list;
       (** threads that died under [Contain], as (tid, exception text),
           sorted by tid; empty for clean runs *)

@@ -208,37 +208,37 @@ let test_heal_unpoisons () =
 
 (* --- deadlock victims ------------------------------------------------ *)
 
-let test_deadlock_victim_recovers () =
-  (* AB-BA: with no recovery manager this stalls; under Recover the
-     engine's wait-for-graph picks the lowest-(icount, tid) cycle member,
-     crashes it through the restart path, and the run completes. *)
-  let main () =
-    let a = Api.mutex_create () in
-    let b = Api.mutex_create () in
-    let t1 =
-      Api.spawn (fun () ->
-          ignore (Api.lock_check a);
-          Api.tick 300;
-          ignore (Api.lock_check b);
-          Api.unlock b;
-          Api.unlock a;
-          Api.output_int 1)
-    in
-    let t2 =
-      Api.spawn (fun () ->
-          ignore (Api.lock_check b);
-          Api.tick 300;
-          ignore (Api.lock_check a);
-          Api.unlock a;
-          Api.unlock b;
-          Api.output_int 2)
-    in
-    Api.join t1;
-    Api.join t2;
-    Api.output_int 3
+(* AB-BA: with no recovery manager this stalls; under Recover the
+   engine's wait-for-graph picks the lowest-(icount, tid) cycle member,
+   crashes it through the restart path, and the run completes. *)
+let abba_main () =
+  let a = Api.mutex_create () in
+  let b = Api.mutex_create () in
+  let t1 =
+    Api.spawn (fun () ->
+        ignore (Api.lock_check a);
+        Api.tick 300;
+        ignore (Api.lock_check b);
+        Api.unlock b;
+        Api.unlock a;
+        Api.output_int 1)
   in
-  let r1 = run (workload "abba" main) in
-  let r2 = run (workload "abba" main) in
+  let t2 =
+    Api.spawn (fun () ->
+        ignore (Api.lock_check b);
+        Api.tick 300;
+        ignore (Api.lock_check a);
+        Api.unlock a;
+        Api.unlock b;
+        Api.output_int 2)
+  in
+  Api.join t1;
+  Api.join t2;
+  Api.output_int 3
+
+let test_deadlock_victim_recovers () =
+  let r1 = run (workload "abba" abba_main) in
+  let r2 = run (workload "abba" abba_main) in
   Alcotest.(check string) "deterministic" r1.Runner.signature r2.Runner.signature;
   Alcotest.(check bool) "a victim was taken" true
     (r1.Runner.profile.Profile.deadlock_victims >= 1);
@@ -336,8 +336,8 @@ let test_corruption_audit_at_exit () =
     r.Runner.profile.Profile.corruptions_detected
 
 let test_clean_runs_verify_silently () =
-  (* verify_metadata is on by default: a fault-free run checks every
-     propagated slice and finds nothing. *)
+  (* Verification always runs: a fault-free run checks every propagated
+     slice and finds nothing. *)
   let a = run (wl "micro-lock") in
   Alcotest.(check int) "no detections" 0
     a.Runner.profile.Profile.corruptions_detected;
@@ -383,6 +383,261 @@ let test_clinic_sweep () =
     s.Rfdet_check.Clinic.nonconformant;
   Alcotest.(check bool) "probed sites" true (s.Rfdet_check.Clinic.sites > 0)
 
+(* --- pinned crash results ------------------------------------------- *)
+
+(* Simulated results of the crash paths, pinned exactly.  The tests
+   above check properties (determinism, recovered outputs), so a
+   refactor of the crash repair could shift a poisoned hand-off or a
+   trace event unnoticed.  The rows crash one site per primitive under
+   rfdet-ci and kendo, contained and recovered, at 3 threads (schedule
+   seed 1, no jitter); the last row is the AB-BA deadlock victim.  A
+   run pins its signature, outputs checksum, crash records, the MD5 of
+   [Profile.fields] and the MD5 of its causal trace; a run that ends in
+   a deterministic abort pins the exception text. *)
+type crash_result =
+  | Ran of string * string * (int * string) list * string * string
+  | Aborted of string
+
+let pinned_crash_results =
+  [
+    ( ("rfdet-ci", Engine.Contain, "micro-lock", Some "crash,tid=1,op=lock,n=2"),
+      Ran
+        ( "18cce238ad9d0df79b654f8e0ba36f89", "207ce699a7ef50795ed06f2329fd3746",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "6912fb749ad0293c0c0ab69a128b5132", "c9ea74093f11585407ca521f742fdfc6" ) );
+    ( ("rfdet-ci", Engine.Contain, "micro-rwlock", Some "crash,tid=1,op=rwlock,n=2"),
+      Ran
+        ( "d559d5888e3e324222da5a7332ae36bd", "204f837f6975fcbccc18697cc78a344f",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "2c7f334b04d4b3255f19a924079366cd", "098aeb05378a326b27bf9046c11db915" ) );
+    ( ("rfdet-ci", Engine.Contain, "micro-sem", Some "crash,tid=2,op=sem,n=1"),
+      Ran
+        ( "0587d98b4d7aa49156c82fc59dc9174b", "09a5557b43186c477a5e3b8e1f44805d",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "0696af85f6982233a1ae251310745923", "b3ff663325ff366ca8226881d6b6f141" ) );
+    ( ("rfdet-ci", Engine.Contain, "micro-steal", Some "crash,tid=1,op=deque,n=2"),
+      Ran
+        ( "927b748ae11a7a2721dcdaeb79ad221c", "68667c689dfa6b6d225ecf4f71cb90fb",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "cb787bbf2c5cdf2c93ad96de4b428a56", "378d03188926cbf39364e85450c6da10" ) );
+    ( ("rfdet-ci", Engine.Contain, "micro-barrier", Some "crash,tid=2,op=barrier,n=1"),
+      Aborted
+        "Rfdet_sim.Engine.Deadlock(\"no runnable thread: tid=0 status=blocked clock=24471 icount=96; \
+         tid=1 status=blocked clock=12341 icount=95\")" );
+    ( ("rfdet-ci", Engine.Contain, "prodcons", Some "crash,tid=1,op=cond,n=2"),
+      Aborted
+        "Rfdet_sim.Engine.Deadlock(\"no runnable thread: tid=0 status=blocked clock=128745 icount=1259; \
+         tid=4 status=blocked clock=128155 icount=1522\")" );
+    ( ("rfdet-ci", Engine.Contain, "micro-handoff", Some "crash,tid=0,op=join,n=1"),
+      Ran
+        ( "c19d6367d347ddeb2a4ad5088b222467", "4b76c9b5237a4c35387e97e7aaf34b22",
+          [ (0, "Rfdet_sim.Engine.Injected_crash") ],
+          "e4a4fc0a666e2c6e15013e1b33a7b4d3", "db5776a2ec947064d02bfde7db93fd14" ) );
+    ( ("rfdet-ci", Engine.Contain, "kvserver", Some "crash,tid=1,op=lock,n=5"),
+      Ran
+        ( "723c98fef81346f96945bf9f75c1acbc", "60280db77465f15def3f2371387b3e67",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "55a2db9883f4de11df83dfed6be56623", "923d403cd9db42d4675d0c1ab32f5d9a" ) );
+    ( ("rfdet-ci", Engine.Contain, "kvserver-rw", Some "crash,tid=2,op=rwlock,n=3"),
+      Aborted
+        "Rfdet_sim.Engine.Deadlock(\"no runnable thread: tid=0 status=blocked clock=45034 icount=8824; \
+         tid=1 status=blocked clock=345552 icount=10337; \
+         tid=3 status=blocked clock=335502 icount=10305\")" );
+    ( ("rfdet-ci", Engine.Contain, "micro-lock", Some "crash,tid=2,op=unlock,n=1"),
+      Ran
+        ( "4b16c6d0a4d75e2b9250ca9a66e30798", "6d0a6b377708b2fb33117079e5ecc1ae",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "986bb58c1dd7747f390fe7153b39e17a", "b66e74e0b766b3849828939f9a7bf5a2" ) );
+    ( ("rfdet-ci", Engine.Recover, "micro-lock", Some "crash,tid=1,op=lock,n=2"),
+      Ran
+        ( "7a17bb7b7a703d9810d6a05ba484a71a", "19407a7ef305d73f27c681c8be190eb0",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "0de832acf197c5a7e5eee218525f30f8", "6356cf357a68f41fa95f9da4045dca8e" ) );
+    ( ("rfdet-ci", Engine.Recover, "micro-rwlock", Some "crash,tid=1,op=rwlock,n=2"),
+      Ran
+        ( "4451afb0fd432c1b633fb87e57dd9954", "8766c1af0d587cf1041ebe41986b4738",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "6a822d002c68ff0bf01b235d3fe34711", "8cdf97dc0dd03a9cf0c3883bc8af9258" ) );
+    ( ("rfdet-ci", Engine.Recover, "micro-sem", Some "crash,tid=2,op=sem,n=1"),
+      Ran
+        ( "6851abfd6ea40d93fef77ba87783825d", "5e10e6451dbb929c07303d8aa36eb4d7",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "22a4f40d835d5fd0c7ee14e0b2a9cc70", "7af741ed50a2b867613ea16af7c7434d" ) );
+    ( ("rfdet-ci", Engine.Recover, "micro-steal", Some "crash,tid=1,op=deque,n=2"),
+      Ran
+        ( "927b748ae11a7a2721dcdaeb79ad221c", "68667c689dfa6b6d225ecf4f71cb90fb",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "dc733ab549b3b64a31f1163f4db5ce94", "a1fe85d71acb57602218cf22a61133e6" ) );
+    ( ("rfdet-ci", Engine.Recover, "micro-barrier", Some "crash,tid=2,op=barrier,n=1"),
+      Ran
+        ( "3131610cde20fdd0bbdac93bc263f2cf", "85ca22f38b25787d5c23761b3a0cce69",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "3292e66692e7a15487e19ad6c4334e72", "6b96c4bc6cf520a904087d7ed262b06f" ) );
+    ( ("rfdet-ci", Engine.Recover, "prodcons", Some "crash,tid=1,op=cond,n=2"),
+      Ran
+        ( "e64d1dce316e942d3badab0b66dc9381", "bbec123a175e91d5228d8b6974996057",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "ba3343142f70cdc71b74351c5ad4c63a", "ea230b48a74106b594305d74b27be4d3" ) );
+    ( ("rfdet-ci", Engine.Recover, "micro-handoff", Some "crash,tid=0,op=join,n=1"),
+      Ran
+        ( "a81f8821559a0a1c3f4f2acb6e6a6ca2", "89c70991a8a407f43fcf8d469b573879",
+          [ (0, "Rfdet_sim.Engine.Injected_crash") ],
+          "5bc0a4b5737d09ef33dc68b40b44d9f6", "1011f5a5b41cb9766a59badbaf50a391" ) );
+    ( ("rfdet-ci", Engine.Recover, "kvserver", Some "crash,tid=1,op=lock,n=5"),
+      Ran
+        ( "012447d1d7e2790d3eea994d1c329be3", "05f3d8ca2749aa111938459fffc8d54a",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "982e819e1f5fe24828ae241a6de4c821", "0127820be4cfcd30e4099f1b5cf6f511" ) );
+    ( ("rfdet-ci", Engine.Recover, "kvserver-rw", Some "crash,tid=2,op=rwlock,n=3"),
+      Ran
+        ( "94c9681ca280bdfcf8f978c1d35395a8", "6c69872442b140b0d50133ff22e7cbe4",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "505583dc5d1c51880e065bfb91885b65", "85bb17fbb58b104b0d52f4de5da1d129" ) );
+    ( ("rfdet-ci", Engine.Recover, "micro-lock", Some "crash,tid=2,op=unlock,n=1"),
+      Aborted
+        "Rfdet_sim.Engine.Deadlock(\"no runnable thread: tid=0 status=blocked clock=42624 icount=192; \
+         tid=2 status=blocked clock=39188 icount=211\")" );
+    ( ("kendo", Engine.Contain, "micro-lock", Some "crash,tid=1,op=lock,n=2"),
+      Ran
+        ( "18cce238ad9d0df79b654f8e0ba36f89", "207ce699a7ef50795ed06f2329fd3746",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "46df87caaf09a401f15212de942bb19b", "2a3064a7e40542f6821a2c5ae833b5cb" ) );
+    ( ("kendo", Engine.Contain, "micro-rwlock", Some "crash,tid=1,op=rwlock,n=2"),
+      Ran
+        ( "4451afb0fd432c1b633fb87e57dd9954", "8766c1af0d587cf1041ebe41986b4738",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "e7276f2638915de95edeca307005533e", "6969969ad88b9a2c62e29cdaa08f9b82" ) );
+    ( ("kendo", Engine.Contain, "micro-sem", Some "crash,tid=2,op=sem,n=1"),
+      Ran
+        ( "0587d98b4d7aa49156c82fc59dc9174b", "09a5557b43186c477a5e3b8e1f44805d",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "82527ef2a27a6904cc787f46b892ca20", "91f8384963a3d69a748d3d8cce37288a" ) );
+    ( ("kendo", Engine.Contain, "micro-steal", Some "crash,tid=1,op=deque,n=2"),
+      Ran
+        ( "927b748ae11a7a2721dcdaeb79ad221c", "68667c689dfa6b6d225ecf4f71cb90fb",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "22163bdb47dc67f51f42b1105743bd24", "c15540fad59021b589a5ec4e2a9d88ce" ) );
+    ( ("kendo", Engine.Contain, "micro-barrier", Some "crash,tid=2,op=barrier,n=1"),
+      Aborted
+        "Rfdet_sim.Engine.Deadlock(\"no runnable thread: tid=0 status=blocked clock=24272 icount=96; \
+         tid=1 status=blocked clock=12212 icount=95\")" );
+    ( ("kendo", Engine.Contain, "prodcons", Some "crash,tid=1,op=cond,n=2"),
+      Aborted
+        "Rfdet_sim.Engine.Deadlock(\"no runnable thread: tid=0 status=blocked clock=73886 icount=1250; \
+         tid=4 status=blocked clock=67376 icount=1499\")" );
+    ( ("kendo", Engine.Contain, "micro-handoff", Some "crash,tid=0,op=join,n=1"),
+      Ran
+        ( "c19d6367d347ddeb2a4ad5088b222467", "4b76c9b5237a4c35387e97e7aaf34b22",
+          [ (0, "Rfdet_sim.Engine.Injected_crash") ],
+          "b546bc0188a9e1b657a9c270e49e9740", "33453bd34e4c32dba97903f205fd948e" ) );
+    ( ("kendo", Engine.Contain, "kvserver", Some "crash,tid=1,op=lock,n=5"),
+      Ran
+        ( "723c98fef81346f96945bf9f75c1acbc", "60280db77465f15def3f2371387b3e67",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "6721458fecb72c19794925d304011ed2", "fb72b7af15c3775f80d920971afa2818" ) );
+    ( ("kendo", Engine.Contain, "kvserver-rw", Some "crash,tid=2,op=rwlock,n=3"),
+      Aborted
+        "Rfdet_sim.Engine.Deadlock(\"no runnable thread: tid=0 status=blocked clock=45034 icount=8824; \
+         tid=1 status=blocked clock=142998 icount=10337; \
+         tid=3 status=blocked clock=142015 icount=10305\")" );
+    ( ("kendo", Engine.Contain, "micro-lock", Some "crash,tid=2,op=unlock,n=1"),
+      Ran
+        ( "4b16c6d0a4d75e2b9250ca9a66e30798", "6d0a6b377708b2fb33117079e5ecc1ae",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "c535d4dbe1ead7add264252e02de2be1", "3674b20122102c8111abb26ef0e4101f" ) );
+    ( ("kendo", Engine.Recover, "micro-lock", Some "crash,tid=1,op=lock,n=2"),
+      Ran
+        ( "7a17bb7b7a703d9810d6a05ba484a71a", "19407a7ef305d73f27c681c8be190eb0",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "920913d2f074853e9dfa34e99ad01de0", "8688fb1d7c2ced69f904f019705156fb" ) );
+    ( ("kendo", Engine.Recover, "micro-rwlock", Some "crash,tid=1,op=rwlock,n=2"),
+      Ran
+        ( "4c99e16f4923025817601c770a3c2ff6", "a06db8f0bd966bda397f94368867efc6",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "d2e55ab01039a6e64fb968e32467e081", "5cc40eb36347ceb886fdc6182ab5e1e8" ) );
+    ( ("kendo", Engine.Recover, "micro-sem", Some "crash,tid=2,op=sem,n=1"),
+      Ran
+        ( "6851abfd6ea40d93fef77ba87783825d", "5e10e6451dbb929c07303d8aa36eb4d7",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "b9583d96a5b22023590de6a2927c1bf5", "28a073d9282840867a8a919b3dc1f623" ) );
+    ( ("kendo", Engine.Recover, "micro-steal", Some "crash,tid=1,op=deque,n=2"),
+      Ran
+        ( "927b748ae11a7a2721dcdaeb79ad221c", "68667c689dfa6b6d225ecf4f71cb90fb",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "ee15e6ce10b3966e3b86d76bee1da65f", "c6a055a1928158e11a545ad67b99611d" ) );
+    ( ("kendo", Engine.Recover, "micro-barrier", Some "crash,tid=2,op=barrier,n=1"),
+      Ran
+        ( "3131610cde20fdd0bbdac93bc263f2cf", "85ca22f38b25787d5c23761b3a0cce69",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "f9b14edbbabb290ff0cc78dcb0370e14", "cb6a91892a52ec9c0c7a351cbfc6e181" ) );
+    ( ("kendo", Engine.Recover, "prodcons", Some "crash,tid=1,op=cond,n=2"),
+      Ran
+        ( "514877c3e54a78a28ada15414eeb9ff5", "a3531cc26b978263ccb5fa2d495bedaf",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "9f4183475dc552acf2a3358e17c2575f", "acb26063d3e7976144cdd8aa6a94cc65" ) );
+    ( ("kendo", Engine.Recover, "micro-handoff", Some "crash,tid=0,op=join,n=1"),
+      Ran
+        ( "a81f8821559a0a1c3f4f2acb6e6a6ca2", "89c70991a8a407f43fcf8d469b573879",
+          [ (0, "Rfdet_sim.Engine.Injected_crash") ],
+          "f78f04fae1d4aaa7d73ca69be9ea9359", "ab54f2ed3d78bc894d22275f2213ab0d" ) );
+    ( ("kendo", Engine.Recover, "kvserver", Some "crash,tid=1,op=lock,n=5"),
+      Ran
+        ( "012447d1d7e2790d3eea994d1c329be3", "05f3d8ca2749aa111938459fffc8d54a",
+          [ (1, "Rfdet_sim.Engine.Injected_crash") ],
+          "f7fc04f5802c61ddfe48d93d80e359cb", "51d204462e6b9a856cd9f4fbef4fde28" ) );
+    ( ("kendo", Engine.Recover, "kvserver-rw", Some "crash,tid=2,op=rwlock,n=3"),
+      Ran
+        ( "94c9681ca280bdfcf8f978c1d35395a8", "6c69872442b140b0d50133ff22e7cbe4",
+          [ (2, "Rfdet_sim.Engine.Injected_crash") ],
+          "881c8bf836d709897b2d816b01bef953", "afb004065b665e8f024169b0faa1bc17" ) );
+    ( ("kendo", Engine.Recover, "micro-lock", Some "crash,tid=2,op=unlock,n=1"),
+      Aborted
+        "Rfdet_sim.Engine.Deadlock(\"no runnable thread: tid=0 status=blocked clock=40681 icount=192; \
+         tid=2 status=blocked clock=37999 icount=211\")" );
+    ( ("rfdet-ci", Engine.Recover, "abba", None),
+      Ran
+        ( "31b484b78076a13bc8094781fcdfcb4e", "81387ea2c5d04bc0a1275f3269221070",
+          [ (1, "Rfdet_recover.Recover.Deadlock_victim") ],
+          "db2c6d531de427b025efcf77d0446878", "7c77e7c17f468ee6f52a99148c5435c0" ) );
+  ]
+
+let pp_crash_result ppf = function
+  | Ran (signature, checksum, crashes, profile, trace) ->
+    Format.fprintf ppf "Ran (%s, %s, [%s], %s, %s)" signature checksum
+      (String.concat "; "
+         (List.map (fun (tid, e) -> Printf.sprintf "%d: %s" tid e) crashes))
+      profile trace
+  | Aborted text -> Format.fprintf ppf "Aborted %S" text
+
+let test_pinned_crash_results () =
+  List.iteri
+    (fun i ((rt, mode, name, site), expected) ->
+      let runtime = Option.get (Runner.runtime_of_name rt) in
+      let w = if name = "abba" then workload "abba" abba_main else wl name in
+      let obs = Rfdet_obs.Sink.create () in
+      let got =
+        match
+          Runner.run ~threads:3 ~sched_seed:1L ?faults:(Option.map plan site)
+            ~failure_mode:mode ~obs runtime w
+        with
+        | r ->
+          Ran
+            ( r.Runner.signature,
+              r.Runner.output_checksum,
+              r.Runner.crashes,
+              Test_harness.profile_digest r.Runner.profile,
+              Digest.to_hex
+                (Digest.string
+                   (Rfdet_obs.Trace.to_lines (Rfdet_obs.Sink.events obs))) )
+        | exception e -> Aborted (Printexc.to_string e)
+      in
+      Alcotest.check
+        (Alcotest.testable pp_crash_result ( = ))
+        (Printf.sprintf "row %d: %s %s %s" i rt name
+           (Option.value site ~default:"no plan"))
+        expected got)
+    pinned_crash_results
+
 let suites =
   [
     ( "recover",
@@ -411,5 +666,7 @@ let suites =
           test_clean_runs_verify_silently;
         Alcotest.test_case "wildcard guard" `Quick test_wildcard_guard;
         Alcotest.test_case "crash clinic sweep" `Slow test_clinic_sweep;
+        Alcotest.test_case "crash results pinned" `Quick
+          test_pinned_crash_results;
       ] );
   ]
