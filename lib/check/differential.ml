@@ -21,10 +21,14 @@ let runtimes =
 let default_seeds = [ 1L; 7L; 1234L ]
 
 (* The reference model has no Runner constructor (it is a test oracle,
-   not a benchmarked runtime), so drive the engine directly. *)
+   not a benchmarked runtime), so drive the engine directly.  It is
+   compared with rfdet-ci, so it takes rfdet-ci's slice-merging rule. *)
 let model_signature ~threads ~scale ~input_seed (wl : Workload.t) =
   let wcfg = { Workload.threads; scale; input_seed } in
-  Engine.output_signature (Engine.run Dlrc_model.make ~main:(wl.Workload.main wcfg))
+  let model =
+    Dlrc_model.make_with ~slice_merging:Rfdet_core.Options.ci.slice_merging
+  in
+  Engine.output_signature (Engine.run model ~main:(wl.Workload.main wcfg))
 
 let check ?(threads = 2) ?(scale = 1.0) ?(input_seed = 42L)
     ?(seeds = default_seeds) ?(jitter = 9.0) ?(expect_agree = true)

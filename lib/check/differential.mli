@@ -9,11 +9,11 @@
     other (they pick different deterministic winners) but each must
     still be stable across scheduler seeds.
 
-    Independently, the naive executable DLRC model ([Dlrc_model]) must
-    match rfdet-ci {e even on racy programs} — both implement the same
-    deterministic semantics, so this comparison indicts individual
-    optimizations (resume indices, merging, GC, lazy writes) rather
-    than whole designs. *)
+    Independently, the naive executable DLRC model ([Dlrc_model]), under
+    rfdet-ci's slice-merging rule, must match rfdet-ci {e even on racy
+    programs} — both implement the same deterministic semantics, so this
+    comparison indicts individual optimizations (resume indices, GC,
+    lazy writes) rather than whole designs. *)
 
 type report = {
   workload : string;

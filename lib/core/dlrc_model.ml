@@ -35,6 +35,7 @@ type t = {
   checked : bool;
       (* assert the Figure-5 redundancy-elimination property on every
          propagation: a slice never enters a seen-list twice *)
+  slice_merging : bool;  (* RFDet's merge rule, as [Options.slice_merging] *)
 }
 
 exception Propagated_twice of string
@@ -105,24 +106,31 @@ let do_release t ~tid ~obj =
   Hashtbl.replace t.last_release obj (tid, stamp)
 
 let do_acquire t ~tid ~obj =
-  let ms = state t tid in
-  close_slice ms;
-  let lower = Vclock.copy ms.time in
-  ignore (Vclock.tick ms.time tid);
   match Hashtbl.find_opt t.last_release obj with
-  | None -> ()
-  | Some (last_tid, last_time) ->
-    Vclock.join ms.time last_time;
-    if last_tid <> tid then begin
-      let upper = Vclock.copy ms.time in
-      let from = state t last_tid in
-      let from_slices =
-        match from.final_stamp with
-        | Some _ -> from.final_seen
-        | None -> from.seen
-      in
-      propagate ~checked:t.checked ~from_slices ~into:ms ~upper ~lower
-    end
+  | Some (last_tid, _) when last_tid = tid && t.slice_merging ->
+    (* Slice merging: re-acquiring what this thread released last keeps
+       its slice open — no close, no tick.  A store that restores the
+       slice-start value is then published by neither slice. *)
+    ()
+  | last -> (
+    let ms = state t tid in
+    close_slice ms;
+    let lower = Vclock.copy ms.time in
+    ignore (Vclock.tick ms.time tid);
+    match last with
+    | None -> ()
+    | Some (last_tid, last_time) ->
+      Vclock.join ms.time last_time;
+      if last_tid <> tid then begin
+        let upper = Vclock.copy ms.time in
+        let from = state t last_tid in
+        let from_slices =
+          match from.final_stamp with
+          | Some _ -> from.final_seen
+          | None -> from.seen
+        in
+        propagate ~checked:t.checked ~from_slices ~into:ms ~upper ~lower
+      end)
 
 let do_barrier t ~tids =
   let states = List.map (state t) tids in
@@ -244,7 +252,7 @@ let handle t ~tid (op : Op.t) : Engine.outcome =
         (prev, 0))
   | op -> Sync.handle sync ~tid op
 
-let make_gen ~checked engine : Engine.policy =
+let make_gen ~checked ~slice_merging engine : Engine.policy =
   let t =
     {
       engine;
@@ -252,6 +260,7 @@ let make_gen ~checked engine : Engine.policy =
       last_release = Hashtbl.create 32;
       sync = None;
       checked;
+      slice_merging;
     }
   in
   Hashtbl.replace t.states 0
@@ -287,6 +296,9 @@ let make_gen ~checked engine : Engine.policy =
     on_finish = (fun () -> ());
   }
 
-let make engine = make_gen ~checked:false engine
+let make_with ~slice_merging engine =
+  make_gen ~checked:false ~slice_merging engine
 
-let make_checked engine = make_gen ~checked:true engine
+let make engine = make_with ~slice_merging:false engine
+
+let make_checked engine = make_gen ~checked:true ~slice_merging:false engine

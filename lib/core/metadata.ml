@@ -63,7 +63,11 @@ let bump t delta =
   t.usage <- t.usage + delta;
   if t.usage > t.peak then t.peak <- t.usage
 
-let add_slice t slice =
+let add_slice t (slice : Slice.t) =
+  (match t.slices with
+  | (newest : Slice.t) :: _ when newest.id >= slice.id ->
+    invalid_arg "Metadata.add_slice: slice ids must increase"
+  | _ -> ());
   t.slices <- slice :: t.slices;
   bump t (Slice.footprint slice)
 
@@ -116,5 +120,14 @@ let gc_runs t = t.runs
 let live_slices t = List.length t.slices
 
 let iter_slices t ~f = List.iter f t.slices
+
+let iter_slices_after t ~after ~f =
+  let rec go = function
+    | (s : Slice.t) :: rest when s.id > after ->
+      f s;
+      go rest
+    | _ -> ()
+  in
+  go t.slices
 
 let capacity t = t.capacity

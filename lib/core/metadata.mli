@@ -24,7 +24,9 @@ type t
 val create : capacity:int -> gc_threshold:float -> t
 
 (** [add_slice t slice] stores a closed slice and accounts for its
-    footprint. *)
+    footprint.  Slices must arrive in id order, as [fresh_slice_id]
+    allocates them; an id not above the newest stored one raises
+    [Invalid_argument]. *)
 val add_slice : t -> Slice.t -> unit
 
 (** [fresh_slice_id t] — next deterministic slice id. *)
@@ -70,5 +72,9 @@ val live_slices : t -> int
 val iter_slices : t -> f:(Slice.t -> unit) -> unit
 (** Every live (unreclaimed) slice, unspecified order — the conformance
     oracle's completeness check walks these. *)
+
+val iter_slices_after : t -> after:int -> f:(Slice.t -> unit) -> unit
+(** Every live slice whose id exceeds [after], newest first.  Slices are
+    stored in id order, so this walks only those slices. *)
 
 val capacity : t -> int

@@ -194,16 +194,33 @@ let test_oracle_clean_final_state () =
     (Vec.length (main_state rt).Tstate.slices > 0);
   Oracle.check rt
 
-let oracle_control ~condition corrupt () =
+(* Each control must trip the full rescan, an incremental checker that
+   saw the clean state first (so only the change is re-checked), that
+   checker again (a standing violation is reported on every check), and
+   a fresh one (which rebuilds every thread). *)
+let oracle_control ?(stage = ignore) ~condition corrupt () =
   let rt = oracle_final_state () in
+  stage rt;
+  let seen = Oracle.Incremental.create () in
+  Oracle.Incremental.check seen rt;
   corrupt rt;
-  match Oracle.check rt with
-  | () -> Alcotest.failf "corrupted state passed the oracle (%s)" condition
-  | exception Oracle.Divergence m ->
-    Alcotest.(check bool)
-      (Printf.sprintf "%S names %S" m condition)
-      true
-      (Astring.String.is_infix ~affix:condition m)
+  List.iter
+    (fun (checker, check) ->
+      match check rt with
+      | () ->
+        Alcotest.failf "corrupted state passed the %s (%s)" checker condition
+      | exception Oracle.Divergence m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %S" checker m condition)
+          true
+          (Astring.String.is_infix ~affix:condition m))
+    [
+      ("full rescan", Oracle.check);
+      ("incremental checker", Oracle.Incremental.check seen);
+      ("incremental checker, again", Oracle.Incremental.check seen);
+      ( "fresh incremental checker",
+        Oracle.Incremental.check (Oracle.Incremental.create ()) );
+    ]
 
 (* never twice: a slice already in the list, appended again *)
 let corrupt_twice rt =
@@ -223,6 +240,263 @@ let corrupt_must_not rt =
 let corrupt_must rt =
   Metadata.add_slice (Rt.metadata rt)
     (fresh_slice rt ~tid:0 ~time:(Vclock.create (Rt.clock_size rt)))
+
+(* must, by a moved clock: [stage] publishes a slice stamped just past
+   main's clock, which no thread lists and none is ordered after yet (a
+   slice in flight); then main's clock moves past it.  A checker that saw
+   the staged state can catch this only by re-checking what it found
+   owed to a thread whose clock moved. *)
+let stage_must_by_clock rt =
+  let ts = main_state rt in
+  let time = Vclock.copy ts.Tstate.time in
+  ignore (Vclock.tick time ts.Tstate.tid);
+  Metadata.add_slice (Rt.metadata rt) (fresh_slice rt ~tid:ts.Tstate.tid ~time)
+
+let corrupt_must_by_clock rt =
+  let ts = main_state rt in
+  ignore (Vclock.tick ts.Tstate.time ts.Tstate.tid);
+  ignore (Vclock.tick ts.Tstate.time ts.Tstate.tid)
+
+(* --- the incremental oracle in lockstep with the full rescan ------------
+
+   [lockstep] runs RFDet with both checkers at the oracle's check points
+   (after every step that involved a synchronization op or an exit):
+   [Oracle.Incremental.check] on one checker for the whole run, and the
+   full [Oracle.check].  They must agree on every verdict and name the
+   same condition; the slice a diagnostic names may differ.  [inject]
+   may break the state just before a check. *)
+
+let condition_of m =
+  List.find_opt
+    (fun c -> Astring.String.is_infix ~affix:c m)
+    [ "appears twice"; "must-not violated"; "must violated" ]
+
+type log = {
+  mutable checks : int;
+  mutable caught : string list;  (* diagnostics both checkers raised *)
+  mutable disagreements : string list;
+}
+
+let new_log () = { checks = 0; caught = []; disagreements = [] }
+
+let verdict f =
+  match f () with () -> None | exception Oracle.Divergence m -> Some m
+
+let lockstep ?(inject = fun _ _ -> ()) ~opts log engine =
+  let rt, policy = Rt.make_with_state ~opts engine in
+  let incremental = Oracle.Incremental.create () in
+  let pending = ref false in
+  let handle ~tid op =
+    if Rfdet_sim.Op.is_sync op then pending := true;
+    policy.Engine.handle ~tid op
+  in
+  let on_thread_exit ~tid =
+    pending := true;
+    policy.Engine.on_thread_exit ~tid
+  in
+  let on_step () =
+    policy.Engine.on_step ();
+    if !pending then begin
+      pending := false;
+      log.checks <- log.checks + 1;
+      inject log.checks rt;
+      let full = verdict (fun () -> Oracle.check rt) in
+      let incr = verdict (fun () -> Oracle.Incremental.check incremental rt) in
+      match (full, incr) with
+      | None, None -> ()
+      | Some m, Some m' when condition_of m = condition_of m' ->
+        log.caught <- m :: log.caught;
+        raise (Oracle.Divergence m)
+      | _ ->
+        let show = Option.value ~default:"pass" in
+        log.disagreements <-
+          Printf.sprintf "check %d: full rescan %s; incremental %s" log.checks
+            (show full) (show incr)
+          :: log.disagreements
+    end
+  in
+  (rt, { policy with Engine.handle; on_thread_exit; on_step })
+
+let run_lockstep ?(config = Engine.default_config) ?inject ~opts ~main () =
+  let log = new_log () in
+  (match
+     Engine.run ~config
+       (fun engine -> snd (lockstep ?inject ~opts log engine))
+       ~main
+   with
+  | _ -> ()
+  | exception
+      (Oracle.Divergence _ | Engine.Thread_failure (_, Oracle.Divergence _)) ->
+    ());
+  log
+
+let agreed label log =
+  Alcotest.(check (list string))
+    (label ^ ": checkers agree") [] log.disagreements;
+  Alcotest.(check bool) (label ^ ": checked") true (log.checks > 0)
+
+(* Runs [main] once per schedule, branching where the explorer does:
+   when the running thread stops at a boundary, blocks or exits while
+   two or more threads are ready.  Without sleep sets this covers every
+   schedule [Explore.explore] runs.  Returns the number of schedules. *)
+let each_schedule ~main run =
+  let count = ref 0 in
+  let rec go prefix =
+    let arities = ref [] in
+    let choose (sp : Engine.sched_point) =
+      if sp.Engine.sp_last_ready && not sp.Engine.sp_last_boundary then
+        sp.Engine.sp_last
+      else
+        match sp.Engine.sp_ready with
+        | [ only ] -> only
+        | ready ->
+          let i = List.length !arities in
+          arities := List.length ready :: !arities;
+          List.nth ready (if i < Array.length prefix then prefix.(i) else 0)
+    in
+    run { Engine.default_config with Engine.choose = Some choose } main;
+    incr count;
+    let arities = Array.of_list (List.rev !arities) in
+    for j = Array.length prefix to Array.length arities - 1 do
+      for c = 1 to arities.(j) - 1 do
+        go
+          (Array.init (j + 1) (fun i ->
+               if i < Array.length prefix then prefix.(i)
+               else if i = j then c
+               else 0))
+      done
+    done
+  in
+  go [||];
+  !count
+
+(* Returns the number of schedules in which both checkers caught a
+   divergence. *)
+let lockstep_explore ?(opts = Options.ci) ~threads name =
+  let wl = micro name in
+  let main = wl.Workload.main { Workload.default_cfg with Workload.threads } in
+  let label = Printf.sprintf "%s t%d %s" name threads (Options.name opts) in
+  let caught = ref 0 in
+  let schedules =
+    each_schedule ~main (fun config main ->
+        let log = run_lockstep ~config ~opts ~main () in
+        agreed label log;
+        if log.caught <> [] then incr caught)
+  in
+  Alcotest.(check bool) (label ^ ": explored") true (schedules > 1);
+  !caught
+
+let test_lockstep_micros () =
+  List.iter
+    (fun (wl : Workload.t) ->
+      Alcotest.(check int) (wl.name ^ ": clean") 0
+        (lockstep_explore ~threads:2 wl.name))
+    Registry.micro;
+  Alcotest.(check int) "micro-rwlock t3: clean" 0
+    (lockstep_explore ~threads:3 "micro-rwlock");
+  (* the seeded visibility bug: both checkers must stop the same runs *)
+  Alcotest.(check bool) "drop window caught" true
+    (lockstep_explore ~opts:buggy_opts ~threads:2 "micro-lock" > 0)
+
+(* Seeded random walks over the same choice points, at 16 threads. *)
+let test_lockstep_wide () =
+  List.iter
+    (fun (name, seed) ->
+      let wl = Registry.find name in
+      let rng = Random.State.make [| seed |] in
+      let choose (sp : Engine.sched_point) =
+        if sp.Engine.sp_last_ready && not sp.Engine.sp_last_boundary then
+          sp.Engine.sp_last
+        else
+          let ready = sp.Engine.sp_ready in
+          List.nth ready (Random.State.int rng (List.length ready))
+      in
+      let config = { Engine.default_config with Engine.choose = Some choose } in
+      let main =
+        wl.Workload.main { Workload.default_cfg with Workload.threads = 16 }
+      in
+      agreed (name ^ " t16") (run_lockstep ~config ~opts:Options.ci ~main ()))
+    [ ("fft", 1); ("prodcons", 2) ]
+
+(* The clinic's Recover sweep: one crash per operation index, restarted
+   by the recovery manager, under both checkers. *)
+let test_lockstep_clinic () =
+  let wl = micro "micro-lock" in
+  let main =
+    wl.Workload.main { Workload.default_cfg with Workload.threads = 2 }
+  in
+  let clean = run_lockstep ~opts:Options.ci ~main () in
+  agreed "clean run" clean;
+  let sites = (Engine.run (Rt.make ~opts:Options.ci) ~main).Engine.ops in
+  let restarts = ref 0 in
+  for index = 1 to sites do
+    let plan =
+      [ { Rfdet_fault.Fault_plan.tid = None; op = Rfdet_fault.Fault_plan.Any_op;
+          nth = index; action = Rfdet_fault.Fault_plan.Crash } ]
+    in
+    let config =
+      { Engine.default_config with
+        Engine.failure_mode = Engine.Recover;
+        inject = Some (Rfdet_fault.Fault_plan.injector plan) }
+    in
+    let log = new_log () in
+    let make engine =
+      let rt, policy = lockstep ~opts:Options.ci log engine in
+      Rfdet_recover.Recover.manage engine ~sync:(Rt.sync rt)
+        ~prepare_restart:(Rt.crash_recoverable rt) ~main policy
+    in
+    (match Engine.run ~config make ~main with
+    | r -> restarts := !restarts + r.Engine.profile.restarts
+    | exception _ -> ());
+    agreed (Printf.sprintf "crash at op %d" index) log;
+    Alcotest.(check (list string))
+      (Printf.sprintf "crash at op %d: conformant" index) [] log.caught
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d sites restarted %d threads" sites !restarts)
+    true (!restarts > 0)
+
+(* The four controls, injected mid-run: both checkers must stop the run
+   at the injection and name the broken condition. *)
+let test_lockstep_controls () =
+  let wl = micro "micro-rwlock" in
+  let main = wl.Workload.main Workload.default_cfg in
+  let at = 12 in
+  let listing rt =
+    let found = ref None in
+    Rt.iter_states rt ~f:(fun ~tid:_ ts ->
+        if Vec.length ts.Tstate.slices > 0 then found := Some ts);
+    match !found with
+    | Some ts -> ts
+    | None -> Alcotest.failf "no thread lists a slice at check %d" at
+  in
+  List.iter
+    (fun (condition, stage, corrupt) ->
+      let inject check rt =
+        if check = at - 1 then stage rt else if check = at then corrupt rt
+      in
+      let log = run_lockstep ~inject ~opts:Options.ci ~main () in
+      agreed condition log;
+      Alcotest.(check int)
+        (condition ^ ": stopped at the injection")
+        at log.checks;
+      match log.caught with
+      | [ m ] ->
+        Alcotest.(check (option string))
+          (condition ^ ": named") (Some condition) (condition_of m)
+      | _ ->
+        Alcotest.failf "%s: caught %d divergences" condition
+          (List.length log.caught))
+    [
+      ( "appears twice",
+        ignore,
+        fun rt ->
+          let ts = listing rt in
+          Tstate.append_slice ts (Vec.get ts.Tstate.slices 0) );
+      ("must-not violated", ignore, corrupt_must_not);
+      ("must violated", ignore, corrupt_must);
+      ("must violated", stage_must_by_clock, corrupt_must_by_clock);
+    ]
 
 (* --- sampling --------------------------------------------------------- *)
 
@@ -371,13 +645,13 @@ let test_differential_racy_stable () =
    The explorer reaches 2-3 threads; the epoch form of the Figure-5
    filter matters most where many threads publish into one list.  One
    oracle-wrapped run per (workload, threads, runtime) must raise no
-   [Divergence] and print the signature of the same run unwrapped.  The
-   oracle rescans every list entry and every live slice against every
-   thread after each synchronization step, so its cost grows with the
-   square of the run's slice count.  All three workloads run at their
-   full inputs; ocean, with the most slices, takes most of the time. *)
+   [Divergence] and print the signature of the same run unwrapped.  After
+   each synchronization step the incremental oracle re-checks only the
+   list entries, clocks and slices that step changed, plus every list a
+   barrier replaced, so these runs cost little more than the plain ones.
+   Every workload runs at its full input. *)
 
-let test_oracle_at_scale () =
+let test_oracle_at_scale inputs () =
   List.iter
     (fun (name, threads, scale) ->
       let wl = Registry.find name in
@@ -398,7 +672,7 @@ let test_oracle_at_scale () =
             ->
             Alcotest.fail (label ^ ": " ^ m))
         [ Options.ci; Options.pf ])
-    [ ("fft", 16, 1.0); ("prodcons", 16, 1.0); ("ocean", 8, 1.0) ]
+    inputs
 
 let suites =
   [
@@ -424,7 +698,9 @@ let suites =
           test_differential_race_free;
         Alcotest.test_case "differential: racy but stable" `Quick
           test_differential_racy_stable;
-        Alcotest.test_case "oracle at 8-16 threads" `Quick test_oracle_at_scale;
+        Alcotest.test_case "oracle at 8-16 threads" `Quick
+          (test_oracle_at_scale
+             [ ("fft", 16, 1.0); ("prodcons", 16, 1.0); ("ocean", 8, 1.0) ]);
         Alcotest.test_case "oracle passes a clean final state" `Quick
           test_oracle_clean_final_state;
         Alcotest.test_case "oracle control: never twice" `Quick
@@ -433,5 +709,18 @@ let suites =
           (oracle_control ~condition:"must-not violated" corrupt_must_not);
         Alcotest.test_case "oracle control: must" `Quick
           (oracle_control ~condition:"must violated" corrupt_must);
+        Alcotest.test_case "oracle control: must, by a moved clock" `Quick
+          (oracle_control ~stage:stage_must_by_clock ~condition:"must violated"
+             corrupt_must_by_clock);
+        Alcotest.test_case "incremental oracle: lockstep over micros" `Quick
+          test_lockstep_micros;
+        Alcotest.test_case "incremental oracle: lockstep at 16 threads" `Quick
+          test_lockstep_wide;
+        Alcotest.test_case "incremental oracle: lockstep over a Recover clinic"
+          `Quick test_lockstep_clinic;
+        Alcotest.test_case "incremental oracle: controls injected mid-run"
+          `Quick test_lockstep_controls;
+        Alcotest.test_case "oracle at 16-32 threads" `Quick
+          (test_oracle_at_scale [ ("fft", 32, 1.0); ("ocean", 16, 1.0) ]);
       ] );
   ]

@@ -104,6 +104,9 @@ let opt_configs =
     ("tiny-meta", { Options.ci with metadata_capacity = 4096; gc_threshold = 0.5 });
   ]
 
+(* Each config is compared with the model under its own slice-merging
+   flag: merging moves slice boundaries, and on racy programs that
+   changes which stores restoring a slice-start value get published. *)
 let prop_model_agreement =
   QCheck2.Test.make ~name:"dlrc: optimized runtime matches the naive model"
     ~count:120 ~print:(fun p ->
@@ -112,9 +115,14 @@ let prop_model_agreement =
            (List.map (fun l -> string_of_int (List.length l)) p.threads)))
     gen_program
     (fun p ->
-      let reference = outputs_under Model.make 1L p in
+      let model slice_merging =
+        lazy (outputs_under (Model.make_with ~slice_merging) 1L p)
+      in
+      let merged = model true and plain = model false in
       List.for_all
-        (fun (_, opts) -> outputs_under (Rfdet.make ~opts) 2L p = reference)
+        (fun (_, (opts : Options.t)) ->
+          outputs_under (Rfdet.make ~opts) 2L p
+          = Lazy.force (if opts.slice_merging then merged else plain))
         opt_configs)
 
 let prop_model_self_deterministic =
@@ -176,6 +184,53 @@ let test_directed_figure2 () =
   let b = outputs_under (Rfdet.make ~opts:Options.ci) 1L p in
   Alcotest.(check bool) "model and runtime agree" true (a = b)
 
+(* A racy program on which slice merging changes the final dump.  T2
+   re-acquires m0, which it released last, so under merging its slice
+   stays open across the second critical section: [Store (7, 0)] then
+   restores the slice-start value of slot 7, and the merged slice
+   publishes nothing there.  Without merging the second critical
+   section is its own slice and publishes the 0. *)
+let silent_store_program =
+  {
+    n_mutexes = 2;
+    threads =
+      [
+        [ Store (0, 0); Store (0, 0); Store (0, 0);
+          Critical (1, [ Store (0, 0); Store (7, 256) ]) ];
+        [ Store (0, 0); Load_out 0; Critical (0, [ Store (0, 0) ]);
+          Store (7, 256); Critical (0, [ Store (7, 0) ]) ];
+      ];
+  }
+
+(* slot 7 in main's final dump, the last value main outputs *)
+let final_slot7 policy =
+  let main_outputs =
+    List.filter
+      (fun (tid, _) -> tid = 0)
+      (outputs_under policy 1L silent_store_program)
+  in
+  Int64.to_int (snd (List.nth main_outputs (List.length main_outputs - 1)))
+
+let test_directed_silent_store () =
+  let no_merge = { Options.ci with slice_merging = false } in
+  Alcotest.(check int) "merged runtime" 256
+    (final_slot7 (Rfdet.make ~opts:Options.ci));
+  Alcotest.(check int) "merge model" 256
+    (final_slot7 (Model.make_with ~slice_merging:true));
+  Alcotest.(check int) "no-merge runtime" 0
+    (final_slot7 (Rfdet.make ~opts:no_merge));
+  Alcotest.(check int) "plain model" 0 (final_slot7 Model.make)
+
+(* the property under QCheck seeds on which the plain model once
+   disagreed with the merging configs *)
+let test_agreement_past_seeds () =
+  List.iter
+    (fun seed ->
+      QCheck2.Test.check_exn
+        ~rand:(Random.State.make [| seed |])
+        prop_model_agreement)
+    [ 37398641; 46; 99 ]
+
 let suites =
   [
     ( "dlrc-model",
@@ -187,5 +242,9 @@ let suites =
         QCheck_alcotest.to_alcotest prop_runtime_seed_independent;
         QCheck_alcotest.to_alcotest prop_never_propagates_twice;
         QCheck_alcotest.to_alcotest prop_checked_model_transparent;
+        Alcotest.test_case "directed silent store under slice merging" `Quick
+          test_directed_silent_store;
+        Alcotest.test_case "model agreement under past failing seeds" `Quick
+          test_agreement_past_seeds;
       ] );
   ]
