@@ -36,6 +36,7 @@ type t = {
   model : model;
   engine : Engine.t;
   prims : Fifo_sync.t;
+  diffs : Diff.builder;  (* reused by every arrival's commit payload *)
   states : (int, fstate) Hashtbl.t;
   joiners : (int, int list) Hashtbl.t;
   mutable arrived : pending list;  (* reversed arrival order *)
@@ -136,32 +137,28 @@ let collect_diffs t ~tid st =
   let p = Engine.profile t.engine in
   let o = Engine.obs t.engine in
   let cycles = ref 0 in
-  let pages = List.rev st.touch_order in
-  let mods =
-    List.concat_map
-      (fun page ->
-        let snapshot = Hashtbl.find st.snapshots page in
-        let current = Space.page_bytes st.space page in
-        let diff_cycles = Cost.diff_cost c ~bytes:Page.size in
-        cycles := !cycles + diff_cycles;
-        if counts_diff_scan t then
-          p.diff_bytes_scanned <- p.diff_bytes_scanned + Page.size;
-        let d = Diff.diff_page ~page_id:page ~snapshot ~current in
-        if Rfdet_obs.Sink.enabled o then
-          Rfdet_obs.Sink.emit o ~tid ~time:(Engine.clock t.engine tid)
-            (Rfdet_obs.Trace.Diff
-               {
-                 page;
-                 bytes = Diff.byte_count d;
-                 runs = List.length d;
-                 cycles = diff_cycles;
-               });
-        d)
-      pages
-  in
+  List.iter
+    (fun page ->
+      let snapshot = Hashtbl.find st.snapshots page in
+      let current = Space.page_bytes st.space page in
+      let diff_cycles = Cost.diff_cost c ~bytes:Page.size in
+      cycles := !cycles + diff_cycles;
+      if counts_diff_scan t then
+        p.diff_bytes_scanned <- p.diff_bytes_scanned + Page.size;
+      Diff.add_page t.diffs ~page_id:page ~snapshot ~current;
+      if Rfdet_obs.Sink.enabled o then
+        Rfdet_obs.Sink.emit o ~tid ~time:(Engine.clock t.engine tid)
+          (Rfdet_obs.Trace.Diff
+             {
+               page;
+               bytes = Diff.last_page_bytes t.diffs;
+               runs = Diff.last_page_runs t.diffs;
+               cycles = diff_cycles;
+             }))
+    (List.rev st.touch_order);
   Hashtbl.reset st.snapshots;
   st.touch_order <- [];
-  (mods, !cycles)
+  (Diff.finish t.diffs, !cycles)
 
 (* --- fence ------------------------------------------------------------ *)
 
@@ -256,9 +253,7 @@ let run_serial t =
   List.iter
     (fun { tid; arrival; mods } ->
       clock := !clock + c.Cost.commit_token;
-      (match mods with
-      | [] -> ()
-      | mods ->
+      if not (Diff.is_empty mods) then begin
         (* The diff is patched into the shared global store once; the
            other threads pick the committed pages up by copy-on-write
            remapping.  (Functionally we apply to each private space —
@@ -298,7 +293,8 @@ let run_serial t =
                  cycles = commit_cycles;
                })
         end;
-        clock := !clock + commit_cycles);
+        clock := !clock + commit_cycles
+      end;
       (state t tid).quantum_end <- quantum_end t tid;
       perform t ~tid ~at:!clock arrival)
     order
@@ -386,6 +382,7 @@ let make model engine : Engine.policy =
       prims =
         Fifo_sync.create ~name:(name model)
           ~wake:(wake_at_slot_end engine excluded);
+      diffs = Diff.builder ();
       states = Hashtbl.create 16;
       joiners = Hashtbl.create 8;
       arrived = [];

@@ -23,21 +23,13 @@ let lazy_min_bytes = 512
 let verify ~obs ~at ~cost ~(prof : Profile.t) ~(from : Tstate.t)
     ~(into : Tstate.t) (s : Slice.t) =
   let check_cycles = (s.bytes / 8) + 1 in
-  if Slice.checksum_valid s then check_cycles
+  if Slice.verify s then check_cycles
   else begin
     prof.corruptions_detected <- prof.corruptions_detected + 1;
     prof.quarantines <- prof.quarantines + 1;
-    let rederived =
-      List.map
-        (fun (r : Diff.run) ->
-          {
-            r with
-            Diff.data =
-              Space.read_string from.shared ~addr:r.addr
-                ~len:(String.length r.data);
-          })
-        s.mods
-    in
+    let data = Bytes.create s.bytes in
+    Diff.iter_runs s.mods ~f:(fun ~addr ~off ~len ->
+        Bytes.blit_string (Space.read_string from.shared ~addr ~len) 0 data off len);
     let repair_cycles = (s.bytes * cost.Cost.apply_byte) + check_cycles in
     let emit action cycles =
       if Rfdet_obs.Sink.enabled obs then
@@ -45,12 +37,9 @@ let verify ~obs ~at ~cost ~(prof : Profile.t) ~(from : Tstate.t)
           (Rfdet_obs.Trace.Recovery { action; target = s.id; attempt = 1; cycles })
     in
     emit "quarantine" 0;
-    if
-      Slice.compute_checksum ~tid:s.tid ~mods:rederived ~time:s.time
-      = s.checksum
+    if Slice.rederive s (Diff.with_data s.mods (Bytes.unsafe_to_string data))
     then begin
       (* the publisher's space still holds the slice's exact bytes *)
-      s.mods <- rederived;
       emit "rederive" repair_cycles;
       check_cycles + repair_cycles
     end
@@ -76,22 +65,22 @@ let apply_lazy ~cost ~(into : Tstate.t) (s : Slice.t) =
      [lazy_min_bytes]). *)
   let cycles = ref 0 in
   let deferred = ref false in
-  List.iter
-    (fun (page, runs) ->
-      let bytes = Diff.byte_count runs in
-      (* A page that already has deferred updates must keep receiving
-         them in order, whatever the payload size. *)
-      if bytes >= lazy_min_bytes || Tstate.has_pending into page then begin
-        Tstate.add_pending into page runs;
-        Space.protect into.shared page Space.Prot_none;
-        deferred := true;
-        cycles := !cycles + 25
-      end
-      else begin
-        Diff.apply_runs_on_page into.shared ~page_id:page runs;
-        cycles := !cycles + (bytes * cost.Cost.apply_byte)
-      end)
-    (Diff.runs_by_page s.mods);
+  for k = 0 to Diff.page_count s.mods - 1 do
+    let page = Diff.page_id s.mods k in
+    let bytes = Diff.page_bytes s.mods k in
+    (* A page that already has deferred updates must keep receiving
+       them in order, whatever the payload size. *)
+    if bytes >= lazy_min_bytes || Tstate.has_pending into page then begin
+      Tstate.add_pending into s.mods k;
+      Space.protect into.shared page Space.Prot_none;
+      deferred := true;
+      cycles := !cycles + 25
+    end
+    else begin
+      Diff.apply_page into.shared s.mods k;
+      cycles := !cycles + (bytes * cost.Cost.apply_byte)
+    end
+  done;
   (* one mprotect call covers the whole deferred page set *)
   if !deferred then cycles := !cycles + cost.Cost.mprotect_page;
   !cycles
@@ -125,7 +114,7 @@ let run ?(drop = false) ?(obs = Rfdet_obs.Sink.null) ?(at = 0) ~cost
             prof.slices_propagated <- prof.slices_propagated + 1;
             prof.bytes_propagated <- prof.bytes_propagated + s.bytes;
             if Rfdet_obs.Sink.enabled obs then begin
-              let vc = Array.of_list (Vclock.to_list into.time) in
+              let vc = Vclock.to_array into.time in
               let pages = Diff.pages_of_mods s.mods in
               List.iter
                 (fun (page, bytes) ->

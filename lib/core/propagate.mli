@@ -58,7 +58,9 @@ val run :
     catch real divergence.
 
     Each slice selected for application is checksum-verified first
-    ([Slice.checksum_valid]); a corrupted slice is quarantined and
+    ([Slice.verify]: the hash runs only while the slice's [verified]
+    record is unset, but the check's cycles are charged every time); a
+    corrupted slice is quarantined and
     re-derived from [from]'s live space (counted in
     [Profile.quarantines]/[corruptions_detected], traced as [Recovery]
     "quarantine"/"rederive" events), and the run fails with

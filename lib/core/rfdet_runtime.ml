@@ -20,6 +20,7 @@ type t = {
   engine : Engine.t;
   opts : Options.t;
   meta : Metadata.t;
+  diffs : Diff.builder;  (* reused by every slice close *)
   states : (int, Tstate.t) Hashtbl.t;
   last_release : (Sync.obj, int * Vclock.t * int) Hashtbl.t;
   (* lastTid, lastTime, and the releaser's slice-list length at the
@@ -72,44 +73,28 @@ let cost t = Engine.cost t.engine
 
 let obs t = Engine.obs t.engine
 
-let vc_of (ts : Tstate.t) = Array.of_list (Vclock.to_list ts.time)
+let vc_of (ts : Tstate.t) = Vclock.to_array ts.time
 
 (* ------------------------------------------------------------------ *)
-(* Lazy writes: apply a page's queued propagated runs on first touch.  *)
+(* Lazy writes: apply a page's queued page segments on first touch.   *)
 (* ------------------------------------------------------------------ *)
 
-(* Apply pending runs in arrival order (so the latest propagated value
-   wins), but charge only one write per distinct byte — the whole point
-   of postponing the writes (Section 4.5, "Lazy Writes"). *)
+(* Apply pending segments in arrival order (so the latest propagated
+   value wins), but charge only one write per distinct byte — the whole
+   point of postponing the writes (Section 4.5, "Lazy Writes"). *)
 let flush_pending ?(bulk = false) t (ts : Tstate.t) page =
-  match Tstate.pending_runs ts page with
-  | [] -> 0
-  | runs ->
+  if not (Tstate.has_pending ts page) then 0
+  else begin
     let p = prof t in
     if not bulk then p.page_faults <- p.page_faults + 1;
     let touched = Metadata.alloc_page_buf t.meta in
-    Bytes.fill touched 0 Page.size '\000';
-    let distinct = ref 0 in
-    (* Own the page once, then blit each run; the bitmap still charges
-       one simulated write per distinct byte. *)
-    let data = Space.own_page ts.shared page in
-    List.iter
-      (fun (r : Diff.run) ->
-        let base = Page.offset_of_addr r.addr in
-        let len = String.length r.data in
-        Bytes.blit_string r.data 0 data base len;
-        for i = base to base + len - 1 do
-          if Bytes.get touched i = '\000' then begin
-            Bytes.set touched i '\001';
-            incr distinct
-          end
-        done)
-      runs;
+    let distinct = Tstate.flush_pending ts page ~touched in
     Metadata.release_page_buf t.meta touched;
     Space.protect ts.shared page Space.Prot_rw;
     let c = cost t in
     let trap = if bulk then 50 else c.Cost.page_fault in
-    trap + (!distinct * c.Cost.apply_byte)
+    trap + (distinct * c.Cost.apply_byte)
+  end
 
 (* Bulk application (barrier merge, pre-fork): the runtime walks the
    pending set directly — no traps are taken. *)
@@ -149,29 +134,27 @@ let close_slice t (ts : Tstate.t) =
   let trace_vc = if tracing then vc_of ts else [||] in
   let cycles = ref c.Cost.slice_overhead in
   let pages = List.rev ts.touch_order in
-  let mods =
-    List.concat_map
-      (fun page ->
-        let snapshot = Hashtbl.find ts.snapshots page in
-        let current = Space.page_bytes ts.shared page in
-        let diff_cycles = Cost.diff_cost c ~bytes:Page.size in
-        cycles := !cycles + diff_cycles;
-        p.diff_bytes_scanned <- p.diff_bytes_scanned + Page.size;
-        let d = Diff.diff_page ~page_id:page ~snapshot ~current in
-        if tracing then
-          Rfdet_obs.Sink.emit o ~tid:ts.tid ~time:trace_now ~vc:trace_vc
-            (Rfdet_obs.Trace.Diff
-               {
-                 page;
-                 bytes = Rfdet_mem.Diff.byte_count d;
-                 runs = List.length d;
-                 cycles = diff_cycles;
-               });
-        Metadata.snapshot_released t.meta;
-        Metadata.release_page_buf t.meta snapshot;
-        d)
-      pages
-  in
+  List.iter
+    (fun page ->
+      let snapshot = Hashtbl.find ts.snapshots page in
+      let current = Space.page_bytes ts.shared page in
+      let diff_cycles = Cost.diff_cost c ~bytes:Page.size in
+      cycles := !cycles + diff_cycles;
+      p.diff_bytes_scanned <- p.diff_bytes_scanned + Page.size;
+      Diff.add_page t.diffs ~page_id:page ~snapshot ~current;
+      if tracing then
+        Rfdet_obs.Sink.emit o ~tid:ts.tid ~time:trace_now ~vc:trace_vc
+          (Rfdet_obs.Trace.Diff
+             {
+               page;
+               bytes = Diff.last_page_bytes t.diffs;
+               runs = Diff.last_page_runs t.diffs;
+               cycles = diff_cycles;
+             });
+      Metadata.snapshot_released t.meta;
+      Metadata.release_page_buf t.meta snapshot)
+    pages;
+  let mods = Diff.finish t.diffs in
   Hashtbl.reset ts.snapshots;
   ts.touch_order <- [];
   let closed_slice_id = ref (-1) in
@@ -219,7 +202,7 @@ let close_slice t (ts : Tstate.t) =
          {
            slice = !closed_slice_id;
            pages = List.length pages;
-           bytes = Rfdet_mem.Diff.byte_count mods;
+           bytes = Diff.byte_count mods;
            cycles = !cycles;
          });
     Rfdet_obs.Sink.emit o ~tid:ts.tid ~time:trace_now ~vc:trace_vc
@@ -408,16 +391,9 @@ let corrupt_metadata t ~tid =
   | Some ts ->
     let target = ref None in
     Rfdet_util.Vec.iter ts.slices ~f:(fun (s : Slice.t) ->
-        if s.tid = tid && (not s.freed) && s.mods <> [] then target := Some s);
-    (match !target with
-    | None -> ()
-    | Some s -> (
-      match s.mods with
-      | [] -> ()
-      | r :: rest ->
-        let b = Bytes.of_string r.Diff.data in
-        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-        s.mods <- { r with Diff.data = Bytes.unsafe_to_string b } :: rest))
+        if s.tid = tid && (not s.freed) && not (Diff.is_empty s.mods) then
+          target := Some s);
+    Option.iter Slice.corrupt !target
 
 let do_joined t ~tid ~target ~now =
   let ts = state t ~tid in
@@ -563,8 +539,10 @@ let shared_union_bytes t =
 
 (* End-of-run metadata audit: verify every still-live published slice,
    so a corruption whose slice was never selected for propagation is
-   still detected (the 100%-detection gate).  Each slice is audited in
-   its publisher's list only — propagated copies share the record. *)
+   still detected (the 100%-detection gate).  It re-hashes whatever the
+   slice's [verified] record says: it is the reference that record is
+   judged against.  Each slice is audited in its publisher's list only —
+   propagated copies share the record. *)
 let audit_metadata t =
   let p = prof t in
   Hashtbl.iter
@@ -601,6 +579,7 @@ let make_with_state ?(opts = Options.default) engine =
       meta =
         Metadata.create ~capacity:opts.Options.metadata_capacity
           ~gc_threshold:opts.Options.gc_threshold;
+      diffs = Diff.builder ();
       states = Hashtbl.create 16;
       last_release = Hashtbl.create 64;
       sync = None;

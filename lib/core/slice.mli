@@ -6,9 +6,14 @@
     timestamp is the vector clock the thread held while executing the
     span.  The atomic property — every access in a slice has the same
     happens-before relation to anything outside it — is what makes the
-    slice a sound propagation unit. *)
+    slice a sound propagation unit.
 
-type t = {
+    Only this module writes a slice's fields.  Every write of [mods]
+    ([free], [corrupt], [rederive]) installs a new [Diff.t] value and
+    resets the [verified] record, so a diff handed out earlier (a lazily
+    queued page segment) keeps the bytes it had. *)
+
+type t = private {
   id : int;  (** unique, allocation order — diagnostics only *)
   tid : int;
   mutable mods : Rfdet_mem.Diff.t;  (** cleared when the GC frees the slice *)
@@ -25,6 +30,9 @@ type t = {
           [checksum_valid] recomputes and compares, so any later silent
           damage to the stored modification bytes is detectable at
           propagation time *)
+  mutable verified : bool;
+      (** the current [mods] passed [checksum_valid] since they were
+          last written *)
 }
 
 val make : id:int -> tid:int -> mods:Rfdet_mem.Diff.t -> time:Rfdet_util.Vclock.t -> t
@@ -40,12 +48,29 @@ val compute_checksum :
     the vector-clock components and every run's address and bytes. *)
 
 val checksum_valid : t -> bool
-(** Recompute and compare.  Freed slices (empty mods by construction)
-    are vacuously valid. *)
+(** Recompute and compare, whatever [verified] says — the reference
+    the end-of-run audit uses.  Freed slices (empty mods by
+    construction) are vacuously valid. *)
+
+val verify : t -> bool
+(** [checksum_valid], computed only while [verified] is unset; a pass
+    sets it.  Propagation calls this on every application, so a slice
+    is hashed once per write of its [mods], not once per receiver. *)
+
+val corrupt : t -> unit
+(** The [corrupt] fault action: flip every bit of the first stored
+    payload byte (a no-op on an empty slice).  Nothing is signalled;
+    [verify] must catch it. *)
+
+val rederive : t -> Rfdet_mem.Diff.t -> bool
+(** [rederive t mods] installs [mods] as the slice's modifications when
+    their digest equals [checksum], marking them verified, and returns
+    whether it did.  Propagation's repair path offers the bytes re-read
+    from the space it propagates from. *)
 
 val rehash : t -> unit
-(** Recompute [checksum] from the current contents — used after a
-    quarantined slice is re-derived from the publisher's space. *)
+(** Recompute [checksum] from the current contents — used by the audit
+    after it has counted a damaged slice. *)
 
 val overhead_bytes : int
 (** Fixed metadata footprint per slice record. *)

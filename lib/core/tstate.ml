@@ -1,4 +1,5 @@
 module Space = Rfdet_mem.Space
+module Diff = Rfdet_mem.Diff
 module Vclock = Rfdet_util.Vclock
 module Vec = Rfdet_util.Vec
 
@@ -11,7 +12,7 @@ type t = {
   resume : (int, int) Hashtbl.t;
   snapshots : (int, bytes) Hashtbl.t;
   mutable touch_order : int list;
-  lazy_pending : (int, Rfdet_mem.Diff.run list) Hashtbl.t;
+  lazy_pending : (int, (Diff.t * int) list) Hashtbl.t;
   mutable final_stamp : Vclock.t option;
   mutable exit_len : int;
   mutable joined : bool;
@@ -85,18 +86,25 @@ let add_snapshot t page data =
   Hashtbl.replace t.snapshots page data;
   t.touch_order <- page :: t.touch_order
 
-let pending_runs t page =
-  match Hashtbl.find_opt t.lazy_pending page with
-  | None -> []
-  | Some rev ->
-    Hashtbl.remove t.lazy_pending page;
-    List.rev rev
-
 let has_pending t page = Hashtbl.mem t.lazy_pending page
 
-let add_pending t page runs =
+let add_pending t d k =
+  let page = Diff.page_id d k in
   let existing = Option.value (Hashtbl.find_opt t.lazy_pending page) ~default:[] in
-  Hashtbl.replace t.lazy_pending page (List.rev_append runs existing)
+  Hashtbl.replace t.lazy_pending page ((d, k) :: existing)
+
+(* Own the page once, then blit each segment; the bitmap counts each
+   distinct byte once however many segments write it. *)
+let flush_pending t page ~touched =
+  match Hashtbl.find_opt t.lazy_pending page with
+  | None -> 0
+  | Some rev ->
+    Hashtbl.remove t.lazy_pending page;
+    Bytes.fill touched 0 (Bytes.length touched) '\000';
+    let frame = Space.own_page t.shared page in
+    List.fold_left
+      (fun distinct (d, k) -> distinct + Diff.write_page d k frame ~touched)
+      0 (List.rev rev)
 
 let pending_pages t =
   Hashtbl.fold (fun page _ acc -> page :: acc) t.lazy_pending []

@@ -25,8 +25,9 @@ type t = {
   resume : (int, int) Hashtbl.t;  (** remote tid -> scan resume index *)
   snapshots : (int, bytes) Hashtbl.t;  (** open slice: page id -> snapshot *)
   mutable touch_order : int list;  (** reversed first-touch page order *)
-  lazy_pending : (int, Rfdet_mem.Diff.run list) Hashtbl.t;
-      (** page id -> unapplied propagated runs, reversed *)
+  lazy_pending : (int, (Rfdet_mem.Diff.t * int) list) Hashtbl.t;
+      (** page id -> unapplied propagated page segments (diff, segment
+          index), reversed arrival order *)
   mutable final_stamp : Rfdet_util.Vclock.t option;  (** set at exit *)
   mutable exit_len : int;  (** slice-list length at exit (join bound) *)
   mutable joined : bool;
@@ -65,15 +66,21 @@ val has_open_snapshot : t -> int -> bool
 
 val add_snapshot : t -> int -> bytes -> unit
 
-(** [pending_runs t page] returns and clears the page's unapplied
-    propagated runs, in application order. *)
-val pending_runs : t -> int -> Rfdet_mem.Diff.run list
-
 val has_pending : t -> int -> bool
 
-val add_pending : t -> int -> Rfdet_mem.Diff.run list -> unit
-(** Runs must be given in application order; they are queued after any
-    runs already pending on the page. *)
+val add_pending : t -> Rfdet_mem.Diff.t -> int -> unit
+(** [add_pending t d k] queues segment [k] of [d] (page
+    [Diff.page_id d k]) after any segments already pending on that
+    page.  The queue holds [d] itself, not a copy: diffs are immutable,
+    and a slice whose [mods] are later replaced (freed, corrupted,
+    re-derived) leaves the queued bytes as they were. *)
+
+val flush_pending : t -> int -> touched:bytes -> int
+(** [flush_pending t page ~touched] writes the page's queued segments
+    into [shared] in arrival order (the latest propagated value wins),
+    clears the queue and returns the number of distinct bytes written;
+    0 when nothing is pending.  [touched] is page-sized scratch, zeroed
+    here.  Page protection is the caller's. *)
 
 val pending_pages : t -> int list
 

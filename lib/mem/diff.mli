@@ -10,78 +10,135 @@
     A modification list is a sequence of runs, each a maximal range of
     consecutive differing bytes.  Runs within one page are in ascending
     address order; the order of whole-page diffs inside a slice follows
-    first-touch order, which is deterministic. *)
+    first-touch order, which is deterministic.
+
+    A [t] is packed and immutable: one string holds every run's bytes in
+    run order, an int array holds each run's address, offset into that
+    string and length, and a page index built with the diff maps each
+    page (page id ascending) to its contiguous range of runs and its byte
+    count.  Counts and per-page grouping are reads, and application
+    blits straight from the string.  Operations that change the bytes
+    ([with_data]) build a new value, so a holder of the old value keeps
+    the old bytes. *)
 
 type run = {
   addr : int;       (** absolute byte address of the first modified byte *)
   data : string;    (** the new bytes, length >= 1 *)
 }
+(** One run, as the list view ([runs], [of_runs]) and the reference scan
+    ([diff_page_bytewise]) give it. *)
 
-type t = run list
+type t
 
 val empty : t
 (** The empty modification list. *)
 
-(** [diff_page ~page_id ~snapshot ~current] compares two page images and
-    returns the modification runs with absolute addresses.  Raises
+(** {1 Building} *)
+
+type builder
+(** Accumulates the per-page diffs of one slice or commit.  A builder is
+    reusable: [finish] hands out the packed diff and empties it. *)
+
+val builder : unit -> builder
+
+(** [add_page b ~page_id ~snapshot ~current] compares two page images
+    and appends the page's runs, with absolute addresses, as one page
+    segment (nothing when the images are equal).  Raises
     [Invalid_argument] if either buffer is not page-sized.
 
     The scan compares 8 bytes per step ([Bytes.get_int64_le]) and only
     refines mismatching words byte-by-byte, so equal regions — the
     overwhelmingly common case — cost one word load per 8 bytes. *)
+val add_page : builder -> page_id:int -> snapshot:bytes -> current:bytes -> unit
+
+val last_page_runs : builder -> int
+(** Runs the latest [add_page] appended (0 for an unchanged page). *)
+
+val last_page_bytes : builder -> int
+(** Bytes the latest [add_page] appended. *)
+
+val finish : builder -> t
+(** The packed diff of every page added since the last [finish], runs
+    in the order added; empties the builder.  Raises [Invalid_argument]
+    when a page was added twice (each page's runs must be contiguous). *)
+
+(** [diff_page ~page_id ~snapshot ~current] is the one-page diff:
+    [add_page] on a fresh builder, then [finish]. *)
 val diff_page : page_id:int -> snapshot:bytes -> current:bytes -> t
 
-(** [diff_page_bytewise] is the byte-at-a-time reference implementation
-    of [diff_page]: extensionally equal (property-tested), an order of
-    magnitude slower.  Kept as the testing oracle and the baseline of
-    the [page diff] microbenchmarks. *)
-val diff_page_bytewise : page_id:int -> snapshot:bytes -> current:bytes -> t
+(** [diff_page_bytewise] is the byte-at-a-time reference scan: its runs
+    equal [runs (diff_page ...)] (property-tested), an order of
+    magnitude slower.  Kept as the testing oracle. *)
+val diff_page_bytewise :
+  page_id:int -> snapshot:bytes -> current:bytes -> run list
 
-(** [apply space t] writes every run into [space] in list order (later
-    runs overwrite earlier ones on overlap — "remote wins").  Each
-    target page is owned (copy-on-write) once and runs are applied with
-    [Bytes.blit_string], not per-byte stores. *)
-val apply : Space.t -> t -> unit
+val of_runs : run list -> t
+(** Packs a run list.  Runs are grouped by page in order of first
+    appearance, each page's runs in list order — the order [finish]
+    gives and application respects, so a list whose pages are already
+    contiguous packs unchanged.  Raises [Invalid_argument] on a run that
+    is empty or crosses a page boundary. *)
 
-(** [apply_run space run] writes a single run (one page ownership + one
-    blit). *)
-val apply_run : Space.t -> run -> unit
+(** {1 Reading} *)
 
-(** [apply_runs_on_page space ~page_id runs] bulk-applies runs known to
-    live on one page, owning the page once.  Used by the lazy-writes
-    flush paths, whose pending sets are already grouped by page. *)
-val apply_runs_on_page : Space.t -> page_id:int -> run list -> unit
+val runs : t -> run list
+(** The list view, in run order. *)
 
-(** [byte_count t] is the total number of modified bytes — the metadata
-    space cost of storing the list. *)
 val byte_count : t -> int
+(** The total number of modified bytes — the metadata space cost of
+    storing the list. *)
 
-(** [runs_by_page t] groups a modification list by page: (page id,
-    runs) pairs, page id ascending, each page's runs in list order.
-    Linear in the list for the shape slices and commits have (each
-    page's runs contiguous). *)
-val runs_by_page : t -> (int * run list) list
-
-(** [pages_of_mods t] is each page's byte total, page id ascending —
-    the payload of the trace's [Prop_page] events. *)
-val pages_of_mods : t -> (int * int) list
-
-(** [run_count t] is the number of runs. *)
 val run_count : t -> int
 
-(** [is_empty t] — true when the slice made no (non-redundant) writes. *)
 val is_empty : t -> bool
+(** True when the slice made no (non-redundant) writes. *)
 
-(** [pages_touched t] is the sorted, deduplicated list of page ids the
-    runs fall on (runs never span pages). *)
-val pages_touched : t -> int list
+val data : t -> string
+(** Every run's bytes, concatenated in run order. *)
 
-(** [restrict_to_page t page_id] keeps only runs on the given page —
-    used by the lazy-writes fault handler to apply one page's pending
-    updates. *)
-val restrict_to_page : t -> int -> t
+val iter_runs : t -> f:(addr:int -> off:int -> len:int -> unit) -> unit
+(** Each run in order: its address, and its bytes' offset and length in
+    [data]. *)
 
-(** [concat ts] concatenates modification lists preserving order. *)
-val concat : t list -> t
+val with_data : t -> string -> t
+(** [with_data t s] has [t]'s runs with [s] as their bytes.  Raises
+    [Invalid_argument] unless [s] has [byte_count t] bytes. *)
 
-val pp : Format.formatter -> t -> unit
+(** {2 The page index} *)
+
+val page_count : t -> int
+(** Pages with at least one run.  Segments [0 .. page_count - 1] are in
+    ascending page id. *)
+
+val page_id : t -> int -> int
+(** [page_id t k] — the page of segment [k]. *)
+
+val page_bytes : t -> int -> int
+(** [page_bytes t k] — the bytes segment [k]'s runs modify. *)
+
+val runs_by_page : t -> (int * run list) list
+(** The list view of the index: (page id, runs) pairs, page id
+    ascending, each page's runs in run order. *)
+
+val pages_of_mods : t -> (int * int) list
+(** Each page's byte total, page id ascending — the payload of the
+    trace's [Prop_page] events. *)
+
+(** {1 Applying} *)
+
+(** [apply space t] writes every run into [space] in run order (later
+    runs overwrite earlier ones on overlap — "remote wins").  Each
+    target page is owned (copy-on-write) once and every run is one
+    [Bytes.blit_string] from [data]. *)
+val apply : Space.t -> t -> unit
+
+(** [apply_page space t k] applies segment [k] only, owning its page
+    once. *)
+val apply_page : Space.t -> t -> int -> unit
+
+(** [write_page t k frame ~touched] blits segment [k]'s runs into the
+    page-sized [frame], marks each written offset in the page-sized
+    [touched] bitmap (['\001']) and returns how many offsets were not
+    marked before — the lazy-writes flush, which charges one write per
+    distinct byte. *)
+val write_page : t -> int -> bytes -> touched:bytes -> int

@@ -77,6 +77,8 @@ let min_into (dst : t) (src : t) =
 
 let to_list (c : t) = Array.to_list c
 
+let to_array (c : t) = Array.copy c
+
 let of_list l : t =
   match l with
   | [] -> invalid_arg "Vclock.of_list: empty"

@@ -57,6 +57,10 @@ val min_into : t -> t -> unit
 (** [to_list c] lists the components in thread-id order. *)
 val to_list : t -> int list
 
+(** [to_array c] is a fresh array of the components in thread-id
+    order. *)
+val to_array : t -> int array
+
 (** [of_list l] builds a clock from components. *)
 val of_list : int list -> t
 

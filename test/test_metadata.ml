@@ -15,7 +15,7 @@ let vc l = Vclock.of_list l
 
 let slice ~id ~tid ~mods ~time = Slice.make ~id ~tid ~mods ~time:(vc time)
 
-let run1 addr data = [ { Diff.addr; data } ]
+let run1 addr data = Diff.of_runs [ { Diff.addr; data } ]
 
 (* --- Slice ------------------------------------------------------------ *)
 
@@ -26,7 +26,7 @@ let test_slice_basics () =
   Alcotest.(check bool) "not freed" false s.Slice.freed;
   Slice.free s;
   Alcotest.(check bool) "freed" true s.Slice.freed;
-  Alcotest.(check bool) "mods dropped" true (s.Slice.mods = []);
+  Alcotest.(check bool) "mods dropped" true (Diff.is_empty s.Slice.mods);
   Alcotest.(check int) "footprint remembers size" (Slice.overhead_bytes + 3)
     (Slice.footprint s)
 
@@ -105,18 +105,17 @@ let test_tstate_fork_semantics () =
 let test_tstate_pending () =
   let ts = Tstate.create_root ~clock_size:2 ~monitoring:true in
   Alcotest.(check bool) "no pending" false (Tstate.has_pending ts 3);
-  Tstate.add_pending ts 3 (run1 (3 * Page.size) "ab");
-  Tstate.add_pending ts 3 (run1 ((3 * Page.size) + 5) "c");
+  Tstate.add_pending ts (run1 (3 * Page.size) "ab") 0;
+  Tstate.add_pending ts (run1 ((3 * Page.size) + 5) "c") 0;
+  Tstate.add_pending ts (run1 ((3 * Page.size) + 1) "X") 0;
   Alcotest.(check bool) "pending" true (Tstate.has_pending ts 3);
   Alcotest.(check (list int)) "pending pages" [ 3 ] (Tstate.pending_pages ts);
-  let runs = Tstate.pending_runs ts 3 in
-  Alcotest.(check int) "runs in order" 2 (List.length runs);
-  (match runs with
-  | [ a; b ] ->
-    Alcotest.(check int) "first first" (3 * Page.size) a.Diff.addr;
-    Alcotest.(check int) "second second" ((3 * Page.size) + 5) b.Diff.addr
-  | _ -> Alcotest.fail "expected 2 runs");
-  Alcotest.(check bool) "cleared" false (Tstate.has_pending ts 3)
+  let touched = Bytes.make Page.size '\001' in
+  Alcotest.(check int) "distinct bytes" 3 (Tstate.flush_pending ts 3 ~touched);
+  Alcotest.(check string) "applied in arrival order" "aX\000\000\000c"
+    (Space.read_string ts.Tstate.shared ~addr:(3 * Page.size) ~len:6);
+  Alcotest.(check bool) "cleared" false (Tstate.has_pending ts 3);
+  Alcotest.(check int) "nothing left" 0 (Tstate.flush_pending ts 3 ~touched)
 
 (* --- Propagate --------------------------------------------------------- *)
 
@@ -201,6 +200,71 @@ let test_propagate_lazy_defers_large () =
   Alcotest.(check bool) "page protected" true
     (Space.protection into.Tstate.shared 5 = Space.Prot_none)
 
+(* A segment queued on [into] keeps the bytes it was queued with,
+   whatever later happens to the slice's own [mods]. *)
+let test_queued_segment_keeps_bytes () =
+  List.iter
+    (fun (what, damage) ->
+      let from = mk_state 1 in
+      let into = mk_state 0 in
+      let big = String.make 600 'Q' in
+      let s = slice ~id:0 ~tid:1 ~mods:(run1 (5 * Page.size) big) ~time:[ 0; 1; 0; 0 ] in
+      Tstate.append_slice from s;
+      let prof = Rfdet_sim.Profile.create () in
+      let _ =
+        Propagate.run ~cost:Rfdet_sim.Cost.default ~opts:Options.ci ~prof ~from
+          ~upto:1 ~into ~upper:(vc [ 9; 9; 9; 9 ]) ~lower:(vc [ 0; 0; 0; 0 ]) ()
+      in
+      Alcotest.(check bool) (what ^ ": queued") true (Tstate.has_pending into 5);
+      damage s;
+      let touched = Bytes.create Page.size in
+      Alcotest.(check int) (what ^ ": all bytes flushed") 600
+        (Tstate.flush_pending into 5 ~touched);
+      Alcotest.(check string) (what ^ ": verified bytes") big
+        (Space.read_string into.Tstate.shared ~addr:(5 * Page.size) ~len:600))
+    [
+      ( "corrupted",
+        fun s ->
+          Slice.corrupt s;
+          Alcotest.(check bool) "corruption is real" false (Slice.checksum_valid s) );
+      ("freed", Slice.free);
+    ]
+
+(* The verified record: set by the first application, reset by every
+   write of [mods], so the next application after a corruption hashes
+   again and repairs the slice. *)
+let test_verify_once_record () =
+  let from = mk_state 1 in
+  let s = slice ~id:0 ~tid:1 ~mods:(run1 64 "Z") ~time:[ 0; 1; 0; 0 ] in
+  Tstate.append_slice from s;
+  Space.store_byte from.Tstate.shared 64 (Char.code 'Z');
+  let propagate tid =
+    let into = mk_state tid in
+    let prof = Rfdet_sim.Profile.create () in
+    let _ =
+      Propagate.run ~cost:Rfdet_sim.Cost.default
+        ~opts:{ Options.ci with lazy_writes = false }
+        ~prof ~from ~upto:1 ~into ~upper:(vc [ 9; 9; 9; 9 ])
+        ~lower:(vc [ 0; 0; 0; 0 ]) ()
+    in
+    (prof, Space.load_byte into.Tstate.shared 64)
+  in
+  Alcotest.(check bool) "unverified at make" false s.Slice.verified;
+  let prof, v = propagate 0 in
+  Alcotest.(check bool) "verified by the first application" true s.Slice.verified;
+  Alcotest.(check int) "clean" 0 prof.Rfdet_sim.Profile.corruptions_detected;
+  Alcotest.(check int) "applied" (Char.code 'Z') v;
+  Slice.corrupt s;
+  Alcotest.(check bool) "corrupt resets the record" false s.Slice.verified;
+  let prof, v = propagate 2 in
+  Alcotest.(check int) "caught" 1 prof.Rfdet_sim.Profile.corruptions_detected;
+  Alcotest.(check int) "quarantined" 1 prof.Rfdet_sim.Profile.quarantines;
+  Alcotest.(check int) "re-derived bytes applied" (Char.code 'Z') v;
+  Alcotest.(check bool) "re-derived slice verified" true s.Slice.verified;
+  Alcotest.(check bool) "audit agrees" true (Slice.checksum_valid s);
+  Slice.free s;
+  Alcotest.(check bool) "free resets the record" false s.Slice.verified
+
 let suites =
   [
     ( "metadata",
@@ -218,5 +282,8 @@ let suites =
           test_propagate_skips_freed;
         Alcotest.test_case "propagate lazy defers" `Quick
           test_propagate_lazy_defers_large;
+        Alcotest.test_case "queued segment keeps its bytes" `Quick
+          test_queued_segment_keeps_bytes;
+        Alcotest.test_case "verify-once record" `Quick test_verify_once_record;
       ] );
   ]

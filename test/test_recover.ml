@@ -326,6 +326,73 @@ let test_corruption_unrecoverable () =
   | exception e ->
     Alcotest.failf "expected Engine.Fatal, got %s" (Printexc.to_string e)
 
+(* The writer's slice reaches [first], which verifies it, and is then
+   corrupted before [second] receives it (through [first]'s list), so
+   [second]'s application must hash it again.  With [overwrite], both
+   the writer and [first] store over the word after the publish, so no
+   space still holds the published bytes and re-derivation fails. *)
+let after_first_application_main ~overwrite () =
+  let m = Api.mutex_create () in
+  let cell = Api.malloc 8 in
+  let writer =
+    Api.spawn (fun () ->
+        Api.lock m;
+        Api.store cell 777;
+        Api.unlock m;
+        Api.tick 3_000;
+        (* the corruption is injected at this tick *)
+        Api.tick 50;
+        if overwrite then Api.store cell 888;
+        Api.tick 10_000)
+  in
+  let first =
+    Api.spawn (fun () ->
+        Api.tick 1_000;
+        Api.lock m;
+        Api.output_int (Api.load cell);
+        if overwrite then Api.store cell 888;
+        Api.unlock m)
+  in
+  let second =
+    Api.spawn (fun () ->
+        Api.tick 6_000;
+        Api.lock m;
+        Api.output_int (Api.load cell);
+        Api.unlock m)
+  in
+  Api.join writer;
+  Api.join first;
+  Api.join second
+
+let test_corruption_after_first_application () =
+  let faults = plan "corrupt,tid=1,op=compute,n=2" in
+  let clean =
+    run (workload "after-first" (after_first_application_main ~overwrite:false))
+  in
+  Alcotest.(check int) "clean: nothing detected" 0
+    clean.Runner.profile.Profile.corruptions_detected;
+  let r =
+    run ~faults
+      (workload "after-first" (after_first_application_main ~overwrite:false))
+  in
+  Alcotest.(check int) "caught at the second application" 1
+    r.Runner.profile.Profile.quarantines;
+  Alcotest.(check int) "detected once" 1
+    r.Runner.profile.Profile.corruptions_detected;
+  Alcotest.(check (list (pair int int64))) "both readers see the value"
+    [ (2, 777L); (3, 777L) ]
+    (List.sort compare r.Runner.outputs);
+  match
+    run ~faults
+      (workload "after-first-overwritten"
+         (after_first_application_main ~overwrite:true))
+  with
+  | _ -> Alcotest.fail "expected Engine.Fatal"
+  | exception Engine.Fatal (Failure msg) ->
+    let prefix = "metadata corruption: slice #" in
+    Alcotest.(check string) "diagnostic names the slice" prefix
+      (String.sub msg 0 (String.length prefix))
+
 let test_corruption_audit_at_exit () =
   (* A corrupted slice nobody propagates after the damage is still
      caught by the end-of-run audit. *)
@@ -660,6 +727,8 @@ let suites =
           test_corruption_rederived;
         Alcotest.test_case "corruption unrecoverable" `Quick
           test_corruption_unrecoverable;
+        Alcotest.test_case "corruption after first application" `Quick
+          test_corruption_after_first_application;
         Alcotest.test_case "corruption audited at exit" `Quick
           test_corruption_audit_at_exit;
         Alcotest.test_case "clean runs verify silently" `Quick
