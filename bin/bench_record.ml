@@ -39,19 +39,12 @@ let kv_sweep_report ~rate =
         };
     }
   in
-  let report = ref None in
-  let w =
-    {
-      Workload.name = "kvserver";
-      suite = "server";
-      description = "bench sweep kvserver";
-      main =
-        (fun cfg () ->
-          report := Some (Server.run ~seed:cfg.Workload.input_seed p));
-    }
+  let w, report =
+    Workload.reporting ~name:"kvserver" ~suite:"server"
+      ~description:"bench sweep kvserver" (fun ~seed -> Server.run ~seed p)
   in
   ignore (Runner.run ~threads:p.Server.workers Runner.rfdet_ci w);
-  Option.get !report
+  report ()
 
 let sweep name ~items ~eq f =
   let seq = f 1 in
@@ -135,17 +128,7 @@ let end_to_end (name, threads) =
    set its size against the full causal trace of the same run. *)
 let journal () =
   let spec =
-    {
-      Session.workload = Registry.find "kvserver";
-      runtime = Runner.rfdet_ci;
-      threads = 4;
-      scale = 1.0;
-      input_seed = 42L;
-      sched_seed = 1L;
-      jitter = 0.;
-      fault_mode = Rfdet_sim.Engine.Contain;
-      faults = None;
-    }
+    Runner.spec ~threads:4 Runner.rfdet_ci (Registry.find "kvserver")
   in
   let path = Filename.temp_file "rfdet-journal" ".rfdj" in
   let summary, journal_bytes =
@@ -157,11 +140,7 @@ let journal () =
         (summary, Int64.to_int size))
   in
   let sink = Sink.create () in
-  let traced =
-    Runner.run ~threads:spec.Session.threads ~scale:spec.Session.scale
-      ~input_seed:spec.Session.input_seed ~sched_seed:spec.Session.sched_seed
-      ~obs:sink spec.Session.runtime spec.Session.workload
-  in
+  let traced = Runner.run_spec ~hooks:{ Runner.no_hooks with sink } spec in
   check_inert "journal" ~untraced:summary.Session.s_signature
     ~traced:traced.Runner.signature;
   let trace_bytes = Rfdet_obs.Trace.lines_bytes (Sink.events sink) in
@@ -172,9 +151,9 @@ let journal () =
      %d, \"requests\": %d, \"decisions\": %d, \"journal_bytes\": %d, \
      \"trace_bytes\": %d, \"bytes_per_request\": %.2f, \"trace_ratio\": %.1f,\n\
     \    \"signature\": \"%s\" }\n"
-    spec.Session.workload.Workload.name
-    (Runner.cli_name spec.Session.runtime)
-    spec.Session.threads requests summary.Session.s_decisions journal_bytes
+    spec.workload.Workload.name
+    (Runner.cli_name spec.runtime)
+    spec.threads requests summary.Session.s_decisions journal_bytes
     trace_bytes
     (ratio journal_bytes requests)
     (ratio trace_bytes journal_bytes)

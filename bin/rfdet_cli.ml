@@ -15,6 +15,7 @@ module Runner = Rfdet_harness.Runner
 module Determinism = Rfdet_harness.Determinism
 module Experiments = Rfdet_harness.Experiments
 module Registry = Rfdet_workloads.Registry
+module Workload = Rfdet_workloads.Workload
 module Options = Rfdet_core.Options
 module Profile = Rfdet_sim.Profile
 module Engine = Rfdet_sim.Engine
@@ -54,7 +55,7 @@ let runtime_conv =
 
 let workload_conv =
   let parse s =
-    match List.find_opt (fun w -> w.Rfdet_workloads.Workload.name = s) Registry.all with
+    match List.find_opt (fun w -> w.Workload.name = s) Registry.all with
     | Some w -> Ok w
     | None ->
       Error
@@ -62,13 +63,8 @@ let workload_conv =
           (Printf.sprintf "unknown workload %S (expected one of: %s)" s
              (String.concat ", " Registry.names)))
   in
-  let print ppf w =
-    Format.pp_print_string ppf w.Rfdet_workloads.Workload.name
-  in
+  let print ppf w = Format.pp_print_string ppf w.Workload.name in
   Arg.conv (parse, print)
-
-let threads_arg =
-  Arg.(value & opt int 4 & info [ "t"; "threads" ] ~doc:"Worker thread count.")
 
 (* Host-domain parallelism for the sweep commands.  Sweep results are
    byte-identical for every job count, so the default can safely track
@@ -92,15 +88,50 @@ let resolve_jobs = function
     try Rfdet_par.Par.default_jobs ()
     with Invalid_argument msg -> Exit_code.(fail usage) "%s" msg)
 
+let out_arg default ~doc =
+  Arg.(value & opt string default & info [ "o"; "out" ] ~docv:"PATH" ~doc)
+
+(* --- run flags --------------------------------------------------------- *)
+
+(* Each flag that describes a run is defined once, here, and [spec_term]
+   assembles the ones a subcommand takes into its [Runner.spec]. *)
+
+let runtime_arg =
+  Arg.(
+    value
+    & opt runtime_conv Runner.rfdet_ci
+    & info [ "r"; "runtime" ]
+        ~doc:"Runtime: pthreads, kendo, dthreads, coredet, rfdet-ci, \
+              rfdet-pf or rfdet-noopt.")
+
+let workload_arg =
+  Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
+
+(* races and check take a WORKLOAD or something else *)
+let workload_opt_arg =
+  Arg.(value & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
+
+let threads_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "t"; "threads" ] ~doc:"Worker thread count.")
+
 let scale_arg =
   Arg.(value & opt float 1.0 & info [ "s"; "scale" ] ~doc:"Problem-size multiplier.")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed.")
 
-let jitter_arg =
+let input_seed_arg =
   Arg.(
-    value & opt float 0.
+    value & opt int 42
+    & info [ "input-seed" ]
+        ~doc:"Input-data generator seed (an input of the run; the KV \
+              server's traffic seed).")
+
+let jitter_arg default =
+  Arg.(
+    value & opt float default
     & info [ "jitter" ]
         ~doc:"Mean scheduling-noise cycles per operation (0 = none).")
 
@@ -108,16 +139,16 @@ let fault_plan_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Fault_plan.parse s) in
   Arg.conv (parse, Fault_plan.pp)
 
+let fault_plan_info =
+  Arg.info [ "fault-plan" ]
+    ~doc:
+      "Deterministic fault plan: sites separated by ';', fields by \
+       ','; the first field is crash, fail or delay=CYCLES, then \
+       optional tid=K, op=CLASS, n=K. Example: \
+       'crash,tid=2,op=lock,n=3;fail,op=malloc,n=5'."
+
 let fault_plan_arg =
-  Arg.(
-    value
-    & opt (some fault_plan_conv) None
-    & info [ "fault-plan" ]
-        ~doc:
-          "Deterministic fault plan: sites separated by ';', fields by \
-           ','; the first field is crash, fail or delay=CYCLES, then \
-           optional tid=K, op=CLASS, n=K. Example: \
-           'crash,tid=2,op=lock,n=3;fail,op=malloc,n=5'.")
+  Arg.(value & opt (some fault_plan_conv) None & fault_plan_info)
 
 let fault_mode_arg =
   Arg.(
@@ -130,6 +161,37 @@ let fault_mode_arg =
            whole run) or 'recover' (restart the thread deterministically \
            under a retry budget, healing its locks).")
 
+(* The spec of a single-run subcommand.  Runtime, WORKLOAD, threads,
+   scale and both seeds are flags unless the subcommand passes another
+   term; jitter, the fault plan and the fault mode are constants (no
+   jitter, no plan, [Contain]) unless it passes their flags. *)
+let spec_term ?(workload = workload_arg) ?(threads = threads_arg 4)
+    ?(scale = scale_arg) ?(seed = seed_arg) ?(input_seed = input_seed_arg)
+    ?(jitter = Term.const 0.) ?(faults = Term.const None)
+    ?(fault_mode = Term.const Engine.Contain) () =
+  let spec runtime workload threads scale seed input_seed jitter faults
+      fault_mode =
+    {
+      Runner.workload;
+      runtime;
+      threads;
+      scale;
+      input_seed = Int64.of_int input_seed;
+      sched_seed = Int64.of_int seed;
+      jitter;
+      fault_mode;
+      faults;
+    }
+  in
+  Term.(
+    const spec $ runtime_arg $ workload $ threads $ scale $ seed $ input_seed
+    $ jitter $ faults $ fault_mode)
+
+(* run and record: every run flag *)
+let full_spec_term =
+  spec_term ~jitter:(jitter_arg 0.) ~faults:fault_plan_arg
+    ~fault_mode:fault_mode_arg ()
+
 let print_crashes crashes =
   if crashes <> [] then begin
     Printf.printf "crashes:\n";
@@ -141,23 +203,10 @@ let print_crashes crashes =
 (* --- run -------------------------------------------------------------- *)
 
 let run_cmd =
-  let runtime_arg =
-    Arg.(
-      value
-      & opt runtime_conv Runner.rfdet_ci
-      & info [ "r"; "runtime" ]
-          ~doc:"Runtime: pthreads, kendo, dthreads, coredet, rfdet-ci, \
-                rfdet-pf or rfdet-noopt.")
-  in
-  let workload_arg =
-    Arg.(
-      required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
-  in
-  let action runtime workload threads scale seed input_seed jitter faults
-      failure_mode profile_json =
+  let action (spec : Runner.spec) profile_json =
    Exit_code.guard @@ fun () ->
-    (match faults with
-    | Some plan when Fault_plan.has_wildcard plan && jitter > 0. ->
+    (match spec.faults with
+    | Some plan when Fault_plan.has_wildcard plan && spec.jitter > 0. ->
       Printf.eprintf
         "rfdet: warning: the fault plan has a wildcard-tid site and \
          jitter is nonzero; wildcard sites count operations in global \
@@ -165,11 +214,7 @@ let run_cmd =
          schedule.  Qualify the site with tid=K (or drop --jitter) for \
          a reproducible injection.\n"
     | _ -> ());
-    let r =
-      Runner.run ~threads ~scale ~sched_seed:(Int64.of_int seed)
-        ~input_seed:(Int64.of_int input_seed) ~jitter ?faults ~failure_mode
-        runtime workload
-    in
+    let r = Runner.run_spec spec in
     let p = r.Runner.profile in
     (match profile_json with
     | None -> ()
@@ -178,7 +223,7 @@ let run_cmd =
       Printf.printf "profile json: %s\n" path);
     Printf.printf "workload:    %s\n" r.Runner.workload;
     Printf.printf "runtime:     %s\n" r.Runner.runtime;
-    Printf.printf "threads:     %d (total spawned: %d)\n" threads
+    Printf.printf "threads:     %d (total spawned: %d)\n" spec.threads
       r.Runner.threads;
     Printf.printf "sim cycles:  %d\n" r.Runner.sim_time;
     Printf.printf "engine ops:  %d (%.2fs host)\n" r.Runner.ops
@@ -192,11 +237,6 @@ let run_cmd =
     print_crashes r.Runner.crashes;
     Format.printf "profile:     @[%a@]@." Profile.pp p
   in
-  let input_seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "input-seed" ] ~doc:"Input-data generator seed (an input).")
-  in
   let profile_json_arg =
     Arg.(
       value
@@ -205,23 +245,17 @@ let run_cmd =
           ~doc:"Also write the run's profile counters as a JSON object.")
   in
   Cmd.v (cmd_info "run" ~doc:"Run one workload under one runtime.")
-    Term.(
-      const action $ runtime_arg $ workload_arg $ threads_arg $ scale_arg
-      $ seed_arg $ input_seed_arg $ jitter_arg $ fault_plan_arg
-      $ fault_mode_arg $ profile_json_arg)
+    Term.(const action $ full_spec_term $ profile_json_arg)
 
 (* --- trace / profile --------------------------------------------------- *)
 
-(* Shared by [trace] and [profile]: run a workload with a causal sink
-   attached and return the result plus the collected events and the
+(* Shared by [trace], [profile] and [spans]: run a spec with a causal
+   sink attached and return the result plus the collected events and the
    ring-overflow count (0 when the sink is unbounded). *)
-let traced_run ?(ring = 0) runtime workload threads scale seed input_seed =
-  let obs = Sink.create ~capacity:ring () in
-  let r =
-    Runner.run ~threads ~scale ~sched_seed:(Int64.of_int seed)
-      ~input_seed:(Int64.of_int input_seed) ~obs runtime workload
-  in
-  (r, Sink.events obs, Sink.dropped obs)
+let traced_run ?(ring = 0) spec =
+  let sink = Sink.create ~capacity:ring () in
+  let r = Runner.run_spec ~hooks:{ Runner.no_hooks with sink } spec in
+  (r, Sink.events sink, Sink.dropped sink)
 
 (* A saturated ring silently truncates the causal record, which turns
    "the trace proves X" into "the trace suggests X" — so every consumer
@@ -244,28 +278,7 @@ let ring_arg =
            (default) grows without bound.  Overflow is surfaced as a \
            loud warning and the $(b,trace_dropped) profile counter.")
 
-let runtime_opt_arg =
-  Arg.(
-    value
-    & opt runtime_conv Runner.rfdet_ci
-    & info [ "r"; "runtime" ]
-        ~doc:"Runtime: pthreads, kendo, dthreads, coredet, rfdet-ci, \
-              rfdet-pf or rfdet-noopt.")
-
-let workload_pos_arg =
-  Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
-
-let input_seed_opt_arg =
-  Arg.(
-    value & opt int 42
-    & info [ "input-seed" ] ~doc:"Input-data generator seed (an input).")
-
 let trace_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "trace.json"
-      & info [ "o"; "out" ] ~docv:"PATH" ~doc:"Output file.")
-  in
   let format_arg =
     Arg.(
       value
@@ -321,12 +334,9 @@ let trace_cmd =
     in
     List.filter keep events
   in
-  let action runtime workload threads scale seed input_seed out format ring
-      filter_kind filter_tid filter_time =
+  let action spec out format ring filter_kind filter_tid filter_time =
    Exit_code.guard @@ fun () ->
-    let r, events, dropped =
-      traced_run ~ring runtime workload threads scale seed input_seed
-    in
+    let r, events, dropped = traced_run ~ring spec in
     warn_dropped dropped;
     let kinds = Option.map split_commas filter_kind in
     (match kinds with
@@ -376,9 +386,10 @@ let trace_cmd =
           and the trace is a pure function of (workload, runtime, seed): \
           two same-seed runs write byte-identical files.")
     Term.(
-      const action $ runtime_opt_arg $ workload_pos_arg $ threads_arg
-      $ scale_arg $ seed_arg $ input_seed_opt_arg $ out_arg $ format_arg
-      $ ring_arg $ filter_kind_arg $ filter_tid_arg $ filter_time_arg)
+      const action $ spec_term ()
+      $ out_arg "trace.json" ~doc:"Output file."
+      $ format_arg $ ring_arg $ filter_kind_arg $ filter_tid_arg
+      $ filter_time_arg)
 
 let profile_cmd =
   let top_arg =
@@ -395,18 +406,16 @@ let profile_cmd =
             "Also write the full metrics registry (profile counters plus \
              trace-derived histograms) as JSON.")
   in
-  let action runtime workload threads scale seed input_seed top metrics_json =
+  let action (spec : Runner.spec) top metrics_json =
    Exit_code.guard @@ fun () ->
-    let r, events, dropped =
-      traced_run runtime workload threads scale seed input_seed
-    in
+    let r, events, dropped = traced_run spec in
     warn_dropped dropped;
     let total =
       List.fold_left (fun acc (_, c) -> acc + c) 0 r.Runner.thread_clocks
     in
     Printf.printf "workload:    %s\n" r.Runner.workload;
     Printf.printf "runtime:     %s\n" r.Runner.runtime;
-    Printf.printf "threads:     %d (total spawned: %d)\n" threads
+    Printf.printf "threads:     %d (total spawned: %d)\n" spec.threads
       r.Runner.threads;
     Printf.printf "sim cycles:  %d (makespan), %d thread-cycles\n"
       r.Runner.sim_time total;
@@ -433,10 +442,7 @@ let profile_cmd =
           propagate / diff / GC / monitor), a per-lock contention table \
           and the hottest pages by propagated bytes.  All numbers are \
           simulated cycles, so the report is deterministic.")
-    Term.(
-      const action $ runtime_opt_arg $ workload_pos_arg $ threads_arg
-      $ scale_arg $ seed_arg $ input_seed_opt_arg $ top_arg
-      $ metrics_json_arg)
+    Term.(const action $ spec_term () $ top_arg $ metrics_json_arg)
 
 (* --- list ------------------------------------------------------------- *)
 
@@ -445,9 +451,8 @@ let list_cmd =
     Printf.printf "Workloads:\n";
     List.iter
       (fun w ->
-        Printf.printf "  %-18s %-8s %s\n" w.Rfdet_workloads.Workload.name
-          w.Rfdet_workloads.Workload.suite
-          w.Rfdet_workloads.Workload.description)
+        Printf.printf "  %-18s %-8s %s\n" w.Workload.name w.Workload.suite
+          w.Workload.description)
       Registry.all;
     Printf.printf "\nRuntimes:\n";
     List.iter (Printf.printf "  %s\n") runtime_names
@@ -495,45 +500,8 @@ let journal_arg_doc =
    seeded header); everything else is reconstructed deterministically."
 
 let record_cmd =
-  let runtime_arg =
-    Arg.(
-      value
-      & opt runtime_conv Runner.rfdet_ci
-      & info [ "r"; "runtime" ]
-          ~doc:"Runtime: pthreads, kendo, dthreads, coredet, rfdet-ci, \
-                rfdet-pf or rfdet-noopt.")
-  in
-  let workload_arg =
-    Arg.(
-      required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
-  in
-  let input_seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "input-seed" ] ~doc:"Input-data generator seed (an input).")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "run.rfdj"
-      & info [ "o"; "out" ] ~docv:"PATH"
-          ~doc:"Where to write the decision journal.")
-  in
-  let action runtime workload threads scale seed input_seed jitter faults
-      failure_mode out =
+  let action (spec : Runner.spec) out =
    Exit_code.guard @@ fun () ->
-    let spec =
-      {
-        Session.workload;
-        runtime;
-        threads;
-        scale;
-        input_seed = Int64.of_int input_seed;
-        sched_seed = Int64.of_int seed;
-        jitter;
-        fault_mode = failure_mode;
-        faults;
-      }
-    in
     let s = Session.record ~path:out spec in
     let bytes =
       let ic = open_in_bin out in
@@ -541,8 +509,8 @@ let record_cmd =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> in_channel_length ic)
     in
-    Printf.printf "workload:    %s\n" workload.Rfdet_workloads.Workload.name;
-    Printf.printf "runtime:     %s\n" (Runner.cli_name runtime);
+    Printf.printf "workload:    %s\n" spec.workload.Workload.name;
+    Printf.printf "runtime:     %s\n" (Runner.cli_name spec.runtime);
     print_summary s;
     Printf.printf "journal:     %s (%d bytes, %.1f bytes/decision)\n" out
       bytes
@@ -556,9 +524,8 @@ let record_cmd =
             "Record a run's arbiter decisions into a minimal binary \
              journal for $(b,rfdet replay).  %s" journal_arg_doc))
     Term.(
-      const action $ runtime_arg $ workload_arg $ threads_arg $ scale_arg
-      $ seed_arg $ input_seed_arg $ jitter_arg $ fault_plan_arg
-      $ fault_mode_arg $ out_arg)
+      const action $ full_spec_term
+      $ out_arg "run.rfdj" ~doc:"Where to write the decision journal.")
 
 let replay_cmd =
   let journal_pos_arg =
@@ -653,9 +620,6 @@ let replay_cmd =
 (* --- races ------------------------------------------------------------ *)
 
 let races_cmd =
-  let workload_arg =
-    Arg.(value & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
-  in
   let journal_file_arg =
     Arg.(
       value
@@ -676,12 +640,6 @@ let races_cmd =
              write a minimized, replayable repro trace (see --out); \
              requires $(b,--journal).")
   in
-  let out_arg =
-    Arg.(
-      value & opt string "race-repro.trace"
-      & info [ "o"; "out" ] ~docv:"PATH"
-          ~doc:"Where $(b,--shrink) writes the minimized repro trace.")
-  in
   let report_races header_opt report =
     Format.printf "%a@." Rfdet_detect.Race_detector.pp_report report;
     match header_opt with
@@ -697,14 +655,9 @@ let races_cmd =
       Exit_code.(fail usage) "races needs a WORKLOAD or --journal FILE"
     | None, Some workload ->
       if shrink then Exit_code.(fail usage) "--shrink requires --journal";
-      let cfg =
-        { Rfdet_workloads.Workload.threads; scale; input_seed = 42L }
-      in
-      let report =
-        Rfdet_detect.Race_detector.check
-          ~main:(workload.Rfdet_workloads.Workload.main cfg)
-      in
-      report_races None report
+      report_races None
+        (Offline.run_detector
+           (Runner.spec ~threads ~scale Runner.rfdet_ci workload))
     | Some path, _ -> (
       let header =
         match Journal.scan_file path with
@@ -747,53 +700,40 @@ let races_cmd =
           $(b,--shrink) auto-minimizes a replayable repro for \
           test/corpus.")
     Term.(
-      const action $ workload_arg $ threads_arg $ scale_arg
-      $ journal_file_arg $ shrink_arg $ out_arg)
+      const action $ workload_opt_arg $ threads_arg 4 $ scale_arg
+      $ journal_file_arg $ shrink_arg
+      $ out_arg "race-repro.trace"
+          ~doc:"Where $(b,--shrink) writes the minimized repro trace.")
 
 (* --- faults ----------------------------------------------------------- *)
 
 let faults_cmd =
-  let runtime_arg =
-    Arg.(
-      value
-      & opt runtime_conv Runner.rfdet_ci
-      & info [ "r"; "runtime" ]
-          ~doc:"Runtime: pthreads, kendo, dthreads, coredet, rfdet-ci, \
-                rfdet-pf or rfdet-noopt.")
-  in
-  let workload_arg =
-    Arg.(
-      required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
-  in
-  let plan_arg =
-    Arg.(
-      required
-      & opt (some fault_plan_conv) None
-      & info [ "fault-plan" ]
-          ~doc:"The fault plan to inject on every run (same syntax as \
-                $(b,run --fault-plan)).")
-  in
   let runs_arg =
     Arg.(
       value & opt int 20
       & info [ "n"; "runs" ] ~doc:"Jittered runs to compare.")
   in
-  let jitter_fault_arg =
-    Arg.(
-      value & opt float 12.0
-      & info [ "jitter" ]
-          ~doc:"Mean scheduling-noise cycles per operation.")
+  let plan_arg =
+    Term.(
+      const Option.some
+      $ Arg.(required & opt (some fault_plan_conv) None & fault_plan_info))
   in
-  let action runtime workload plan threads scale runs jitter jobs =
+  (* the seeds are the check's own: it varies the scheduler seed *)
+  let spec =
+    spec_term ~seed:(Term.const 1) ~input_seed:(Term.const 42)
+      ~jitter:(jitter_arg 12.0) ~faults:plan_arg ()
+  in
+  let action (spec : Runner.spec) runs jobs =
    Exit_code.guard @@ fun () ->
     let jobs = resolve_jobs jobs in
+    let plan = Option.get spec.faults in
     let report, crashes =
       (* check_faults rejects wildcard-tid plans under jitter — the
          check would measure the injector's schedule-dependence, not the
          runtime's determinism.  Surface that as a usage error. *)
       try
-        Determinism.check_faults ~threads ~scale ~runs ~jitter ~jobs ~plan
-          runtime workload
+        Determinism.check_faults ~threads:spec.threads ~scale:spec.scale ~runs
+          ~jitter:spec.jitter ~jobs ~plan spec.runtime spec.workload
       with Invalid_argument msg -> Exit_code.(fail usage) "%s" msg
     in
     Format.printf "plan:        %a@." Fault_plan.pp plan;
@@ -808,20 +748,11 @@ let faults_cmd =
           scheduling jitter with the same injected fault plan and verify \
           that every run — crash outcomes included — produces the same \
           signature.")
-    Term.(
-      const action $ runtime_arg $ workload_arg $ plan_arg $ threads_arg
-      $ scale_arg $ runs_arg $ jitter_fault_arg $ jobs_arg)
+    Term.(const action $ spec $ runs_arg $ jobs_arg)
 
 (* --- clinic ----------------------------------------------------------- *)
 
 let clinic_cmd =
-  let workload_arg =
-    Arg.(
-      required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
-  in
-  let clinic_threads_arg =
-    Arg.(value & opt int 3 & info [ "t"; "threads" ] ~doc:"Worker thread count.")
-  in
   let max_sites_arg =
     Arg.(
       value & opt int 500
@@ -859,7 +790,7 @@ let clinic_cmd =
           across runtimes; verify that no probe hangs, every outcome is \
           deterministic, and RFDet stays DLRC-conformant.")
     Term.(
-      const action $ workload_arg $ clinic_threads_arg $ scale_arg
+      const action $ workload_arg $ threads_arg 3 $ scale_arg
       $ max_sites_arg $ op_class_arg $ jobs_arg)
 
 (* --- bench ------------------------------------------------------------ *)
@@ -945,12 +876,6 @@ let check_cmd =
              runs with pruning off, like $(b,--bug-window); requires a \
              WORKLOAD.")
   in
-  let out_arg =
-    Arg.(
-      value & opt string "shrunk.trace"
-      & info [ "o"; "out" ] ~docv:"PATH"
-          ~doc:"Where $(b,--shrink) writes the minimized trace.")
-  in
   let corpus_arg =
     Arg.(
       value
@@ -959,9 +884,6 @@ let check_cmd =
           ~doc:
             "Corpus directory of traces to replay (default test/corpus \
              when present).")
-  in
-  let workload_arg =
-    Arg.(value & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
   in
   let do_replay path =
     match Trace.load ~path with
@@ -1000,7 +922,7 @@ let check_cmd =
         else Rfdet_check.Explore.hunt ~config wl
     in
     Printf.printf "workload:      %s (%d threads)\n"
-      wl.Rfdet_workloads.Workload.name threads;
+      wl.Workload.name threads;
     Printf.printf "schedules:     %d%s\n" stats.Rfdet_check.Explore.schedules
       (if stats.Rfdet_check.Explore.truncated then " (TRUNCATED)" else "");
     Printf.printf "pruned:        %d\n" stats.Rfdet_check.Explore.pruned;
@@ -1085,8 +1007,10 @@ let check_cmd =
           corpus.")
     Term.(
       const action $ exhaustive_arg $ sample_arg $ shrink_flag
-      $ replay_file_arg $ bug_arg $ bug_lost_arg $ out_arg $ corpus_arg
-      $ workload_arg $ threads_arg $ jobs_arg)
+      $ replay_file_arg $ bug_arg $ bug_lost_arg
+      $ out_arg "shrunk.trace"
+          ~doc:"Where $(b,--shrink) writes the minimized trace."
+      $ corpus_arg $ workload_opt_arg $ threads_arg 4 $ jobs_arg)
 
 (* --- experiment ------------------------------------------------------- *)
 
@@ -1138,27 +1062,39 @@ let experiment_cmd =
     (cmd_info "experiment" ~doc:"Regenerate a table or figure of the paper.")
     Term.(const action $ name_arg)
 
+(* --- the KV server (serve, spans) -------------------------------------- *)
 
-(* --- serve ------------------------------------------------------------ *)
+module Server = Rfdet_server.Server
+module Rwserve = Rfdet_server.Rwserve
+module Traffic = Rfdet_server.Traffic
 
-let serve_cmd =
-  let module Server = Rfdet_server.Server in
-  let module Traffic = Rfdet_server.Traffic in
-  let runtime_arg =
+type server = {
+  rw : bool;
+  requests : int;
+  rate : int;
+  workers : int;
+  shards : int;
+  deadline : int;
+}
+
+let server_term =
+  let rw =
     Arg.(
-      value
-      & opt runtime_conv Runner.rfdet_ci
-      & info [ "r"; "runtime" ]
-          ~doc:"Runtime: pthreads, kendo, dthreads, coredet, rfdet-ci, \
-                rfdet-pf or rfdet-noopt.")
+      value & flag
+      & info [ "rw" ]
+          ~doc:
+            "Run the read-heavy rwlock+deque server variant (per-shard \
+             reader-writer locks, work-stealing get deques) instead of \
+             the stripe-mutex server.  $(b,serve) gives it a single \
+             report: no $(b,--sweep), no $(b,--json).")
   in
-  let requests_arg =
+  let requests =
     Arg.(
       value
       & opt int Traffic.default.Traffic.requests
       & info [ "n"; "requests" ] ~doc:"Number of requests to generate.")
   in
-  let rate_arg =
+  let rate =
     Arg.(
       value
       & opt int Traffic.default.Traffic.mean_interarrival
@@ -1167,25 +1103,76 @@ let serve_cmd =
             "Mean interarrival gap in simulated cycles (smaller = \
              heavier offered load).")
   in
-  let workers_arg =
+  let workers =
     Arg.(
       value
       & opt int Server.default.Server.workers
       & info [ "workers" ] ~doc:"Worker pool size.")
   in
-  let shards_arg =
+  let shards =
     Arg.(
       value
       & opt int Server.default.Server.shards
       & info [ "shards" ]
           ~doc:"Shard count (raised to the worker count if below it).")
   in
-  let deadline_arg =
+  let deadline =
     Arg.(
       value
       & opt int Server.default.Server.deadline
       & info [ "deadline" ] ~doc:"Per-request deadline, simulated cycles.")
   in
+  let server rw requests rate workers shards deadline =
+    { rw; requests; rate; workers; shards = max shards workers; deadline }
+  in
+  Term.(const server $ rw $ requests $ rate $ workers $ shards $ deadline)
+
+let traffic s =
+  {
+    Traffic.default with
+    Traffic.requests = s.requests;
+    mean_interarrival = s.rate;
+  }
+
+(* A KV server workload, and the report of its last run *)
+let server_workload name run =
+  Workload.reporting ~name ~suite:"server"
+    ~description:"the KV server with explicit serve parameters" run
+
+let mutex_server s =
+  server_workload "kvserver" (fun ~seed ->
+      Server.run ~seed
+        {
+          Server.default with
+          Server.workers = s.workers;
+          shards = s.shards;
+          deadline = s.deadline;
+          traffic = traffic s;
+        })
+
+let rw_server s =
+  server_workload "kvserver-rw" (fun ~seed ->
+      Rwserve.run ~seed
+        {
+          Rwserve.default with
+          Rwserve.workers = s.workers;
+          shards = s.shards;
+          deadline = s.deadline;
+          traffic = traffic s;
+        })
+
+(* serve and spans: the server flags give the workload and the threads *)
+let server_spec_term =
+  let workload s = if s.rw then fst (rw_server s) else fst (mutex_server s) in
+  spec_term
+    ~workload:Term.(const workload $ server_term)
+    ~threads:Term.(const (fun s -> s.workers) $ server_term)
+    ~scale:(Term.const 1.0) ~faults:fault_plan_arg ~fault_mode:fault_mode_arg
+    ()
+
+(* --- serve ------------------------------------------------------------ *)
+
+let serve_cmd =
   let json_arg =
     Arg.(
       value
@@ -1203,116 +1190,40 @@ let serve_cmd =
             "Arrival-rate sweep (experiment E12): one line per offered \
              load instead of a single report.")
   in
-  let rw_arg =
-    Arg.(
-      value & flag
-      & info [ "rw" ]
-          ~doc:
-            "Serve the read-heavy rwlock+deque variant (per-shard \
-             reader-writer locks, work-stealing get deques) instead of \
-             the stripe-mutex server.  Single-report mode only.")
-  in
-  let mk_params ~requests ~rate ~workers ~shards ~deadline =
-    let shards = max shards workers in
-    {
-      Server.default with
-      Server.workers;
-      shards;
-      deadline;
-      traffic =
-        {
-          Traffic.default with
-          Traffic.requests;
-          mean_interarrival = rate;
-        };
-    }
-  in
-  let run_one runtime ~seed ~input_seed ~faults ~failure_mode p =
-    let report = ref None in
-    let w =
-      {
-        Rfdet_workloads.Workload.name = "kvserver";
-        suite = "server";
-        description = "kvserver with explicit serve parameters";
-        main =
-          (fun cfg () ->
-            report :=
-              Some
-                (Server.run ~seed:cfg.Rfdet_workloads.Workload.input_seed p));
-      }
-    in
-    let r =
-      Runner.run ~threads:p.Server.workers ~sched_seed:(Int64.of_int seed)
-        ~input_seed:(Int64.of_int input_seed) ?faults ~failure_mode runtime w
-    in
-    (r, Option.get !report)
-  in
-  let run_one_rw runtime ~seed ~input_seed ~faults ~failure_mode
-      ~requests ~rate ~workers ~shards ~deadline =
-    let module Rwserve = Rfdet_server.Rwserve in
-    let shards = max shards workers in
-    let p =
-      {
-        Rwserve.default with
-        Rwserve.workers;
-        shards;
-        deadline;
-        traffic =
-          { Traffic.default with Traffic.requests; mean_interarrival = rate };
-      }
-    in
-    let report = ref None in
-    let w =
-      {
-        Rfdet_workloads.Workload.name = "kvserver-rw";
-        suite = "server";
-        description = "rwlock+deque kvserver with explicit serve parameters";
-        main =
-          (fun cfg () ->
-            report :=
-              Some
-                (Rwserve.run ~seed:cfg.Rfdet_workloads.Workload.input_seed p));
-      }
-    in
-    let r =
-      Runner.run ~threads:workers ~sched_seed:(Int64.of_int seed)
-        ~input_seed:(Int64.of_int input_seed) ?faults ~failure_mode runtime w
-    in
-    (r, Option.get !report)
-  in
-  let action runtime requests rate workers shards deadline seed input_seed
-      faults failure_mode sweep rw json jobs =
+  let action (spec : Runner.spec) server sweep json jobs =
    Exit_code.guard @@ fun () ->
     let jobs = resolve_jobs jobs in
-    if rw then begin
-      if sweep then Exit_code.(fail usage) "--rw does not support --sweep";
-      let r, rep =
-        run_one_rw runtime ~seed ~input_seed ~faults ~failure_mode ~requests
-          ~rate ~workers ~shards ~deadline
-      in
+    if server.rw && sweep then
+      Exit_code.(fail usage) "--rw does not support --sweep";
+    if server.rw && json <> None then
+      Exit_code.(fail usage) "--rw does not support --json";
+    let run (workload, report) =
+      let r = Runner.run_spec { spec with workload } in
+      (r, report ())
+    in
+    (* one run, reported *)
+    let single w render =
+      let r, rep = run w in
       Printf.printf "runtime         %s\n" r.Runner.runtime;
       Printf.printf "signature       %s\n" r.Runner.signature;
-      print_string (Rfdet_server.Rwserve.render rep);
+      print_string (render rep);
       Printf.printf "engine ops      %10d (%.2fs host)\n" r.Runner.ops
         r.Runner.wall_seconds;
       print_crashes r.Runner.crashes;
-      match json with
-      | None -> ()
-      | Some _ -> Exit_code.(fail usage) "--rw does not support --json"
-    end
+      rep
+    in
+    if server.rw then ignore (single (rw_server server) Rwserve.render)
     else if sweep then begin
       (* compute the whole sweep, then print: rows render in rate order
          whatever order the domains finished in, so the output is
          byte-identical for every --jobs value *)
       let rows =
         Rfdet_server.Sweep.run ~jobs
-          ~f:(fun ~rate ->
-            let p = mk_params ~requests ~rate ~workers ~shards ~deadline in
-            snd (run_one runtime ~seed ~input_seed ~faults ~failure_mode p))
+          ~f:(fun ~rate -> snd (run (mutex_server { server with rate })))
           ()
       in
       Printf.printf "arrival-rate sweep: %d requests, %d workers, %s\n"
-        requests workers (Runner.runtime_name runtime);
+        server.requests server.workers (Runner.runtime_name spec.runtime);
       print_endline (Rfdet_server.Sweep.render_header ());
       List.iter
         (fun (rate, rep) ->
@@ -1325,26 +1236,13 @@ let serve_cmd =
         Printf.printf "report json: %s\n" path
     end
     else begin
-      let p = mk_params ~requests ~rate ~workers ~shards ~deadline in
-      let r, rep = run_one runtime ~seed ~input_seed ~faults ~failure_mode p in
-      Printf.printf "runtime         %s\n" r.Runner.runtime;
-      Printf.printf "signature       %s\n" r.Runner.signature;
-      print_string (Server.render rep);
-      Printf.printf "engine ops      %10d (%.2fs host)\n" r.Runner.ops
-        r.Runner.wall_seconds;
-      print_crashes r.Runner.crashes;
+      let rep = single (mutex_server server) Server.render in
       match json with
       | None -> ()
       | Some path ->
         write_file path (Rfdet_server.Sweep.report_json rep);
         Printf.printf "report json: %s\n" path
     end
-  in
-  let input_seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "input-seed" ]
-          ~doc:"Traffic generator seed (an input of the run).")
   in
   Cmd.v
     (cmd_info "serve"
@@ -1353,9 +1251,7 @@ let serve_cmd =
           latency/shed/retry report.  Same seed and fault plan give a \
           byte-identical report.")
     Term.(
-      const action $ runtime_arg $ requests_arg $ rate_arg $ workers_arg
-      $ shards_arg $ deadline_arg $ seed_arg $ input_seed_arg
-      $ fault_plan_arg $ fault_mode_arg $ sweep_arg $ rw_arg $ json_arg
+      const action $ server_spec_term $ server_term $ sweep_arg $ json_arg
       $ jobs_arg)
 
 (* --- spans ------------------------------------------------------------ *)
@@ -1369,53 +1265,6 @@ let serve_cmd =
    included — is byte-identical across runtimes, --jobs counts and
    repeat runs. *)
 let spans_cmd =
-  let module Server = Rfdet_server.Server in
-  let module Rwserve = Rfdet_server.Rwserve in
-  let module Traffic = Rfdet_server.Traffic in
-  let requests_arg =
-    Arg.(
-      value
-      & opt int Traffic.default.Traffic.requests
-      & info [ "n"; "requests" ] ~doc:"Number of requests to generate.")
-  in
-  let rate_arg =
-    Arg.(
-      value
-      & opt int Traffic.default.Traffic.mean_interarrival
-      & info [ "rate" ]
-          ~doc:"Mean interarrival gap in simulated cycles.")
-  in
-  let workers_arg =
-    Arg.(
-      value
-      & opt int Server.default.Server.workers
-      & info [ "workers" ] ~doc:"Worker pool size.")
-  in
-  let shards_arg =
-    Arg.(
-      value
-      & opt int Server.default.Server.shards
-      & info [ "shards" ]
-          ~doc:"Shard count (raised to the worker count if below it).")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt int Server.default.Server.deadline
-      & info [ "deadline" ] ~doc:"Per-request deadline, simulated cycles.")
-  in
-  let input_seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "input-seed" ]
-          ~doc:"Traffic generator seed (an input of the run).")
-  in
-  let rw_arg =
-    Arg.(
-      value & flag
-      & info [ "rw" ]
-          ~doc:"Trace the read-heavy rwlock+deque server variant.")
-  in
   let top_arg =
     Arg.(
       value & opt int 5
@@ -1452,72 +1301,10 @@ let spans_cmd =
              exemplars with replay coordinates) as JSON.  Byte-identical \
              across runtimes, --jobs counts and repeat runs.")
   in
-  let action runtime requests rate workers shards deadline seed input_seed
-      faults failure_mode rw top crit pct json ring jobs =
+  let action (spec : Runner.spec) server top crit pct json ring jobs =
    Exit_code.guard @@ fun () ->
     let jobs = resolve_jobs jobs in
-    let shards = max shards workers in
-    let obs = Sink.create ~capacity:ring () in
-    let report = ref None in
-    let w =
-      if rw then
-        {
-          Rfdet_workloads.Workload.name = "kvserver-rw";
-          suite = "server";
-          description = "rwlock+deque kvserver with spans on";
-          main =
-            (fun cfg () ->
-              let p =
-                {
-                  Rwserve.default with
-                  Rwserve.workers;
-                  shards;
-                  deadline;
-                  traffic =
-                    {
-                      Traffic.default with
-                      Traffic.requests;
-                      mean_interarrival = rate;
-                    };
-                }
-              in
-              ignore
-                (Rwserve.run ~seed:cfg.Rfdet_workloads.Workload.input_seed p));
-        }
-      else
-        {
-          Rfdet_workloads.Workload.name = "kvserver";
-          suite = "server";
-          description = "kvserver with spans on";
-          main =
-            (fun cfg () ->
-              let p =
-                {
-                  Server.default with
-                  Server.workers;
-                  shards;
-                  deadline;
-                  traffic =
-                    {
-                      Traffic.default with
-                      Traffic.requests;
-                      mean_interarrival = rate;
-                    };
-                }
-              in
-              report :=
-                Some
-                  (Server.run ~seed:cfg.Rfdet_workloads.Workload.input_seed p));
-        }
-    in
-    let r =
-      Runner.run ~threads:workers ~sched_seed:(Int64.of_int seed)
-        ~input_seed:(Int64.of_int input_seed) ?faults ~failure_mode ~obs
-        runtime w
-    in
-    ignore !report;
-    let events = Sink.events obs in
-    let dropped = Sink.dropped obs in
+    let r, events, dropped = traced_run ~ring spec in
     warn_dropped dropped;
     let spans = Span.collect events in
     let records = spans.Span.complete in
@@ -1551,7 +1338,8 @@ let spans_cmd =
     in
     Printf.printf "runtime         %s\n" r.Runner.runtime;
     Printf.printf "signature       %s\n" r.Runner.signature;
-    Printf.printf "variant         %s\n" (if rw then "rw" else "mutex");
+    let variant = if server.rw then "rw" else "mutex" in
+    Printf.printf "variant         %s\n" variant;
     Printf.printf "spanned         %10d requests (%d incomplete"
       (List.length atts) spans.Span.incomplete;
     if dropped > 0 then Printf.printf ", %d events dropped" dropped;
@@ -1603,14 +1391,14 @@ let spans_cmd =
     | Some path ->
       let meta =
         [
-          ("variant", Printf.sprintf "%S" (if rw then "rw" else "mutex"));
-          ("seed", string_of_int seed);
-          ("input_seed", string_of_int input_seed);
-          ("requests", string_of_int requests);
-          ("rate", string_of_int rate);
-          ("workers", string_of_int workers);
-          ("shards", string_of_int shards);
-          ("deadline", string_of_int deadline);
+          ("variant", Printf.sprintf "%S" variant);
+          ("seed", Int64.to_string spec.sched_seed);
+          ("input_seed", Int64.to_string spec.input_seed);
+          ("requests", string_of_int server.requests);
+          ("rate", string_of_int server.rate);
+          ("workers", string_of_int server.workers);
+          ("shards", string_of_int server.shards);
+          ("deadline", string_of_int server.deadline);
           ("incomplete", string_of_int spans.Span.incomplete);
           ("dropped", string_of_int dropped);
         ]
@@ -1632,9 +1420,7 @@ let spans_cmd =
           byte-identical across runtimes, $(b,--jobs) counts and repeat \
           runs.")
     Term.(
-      const action $ runtime_opt_arg $ requests_arg $ rate_arg $ workers_arg
-      $ shards_arg $ deadline_arg $ seed_arg $ input_seed_arg
-      $ fault_plan_arg $ fault_mode_arg $ rw_arg $ top_arg $ crit_arg
+      const action $ server_spec_term $ server_term $ top_arg $ crit_arg
       $ pct_arg $ json_arg $ ring_arg $ jobs_arg)
 
 let () =

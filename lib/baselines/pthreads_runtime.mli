@@ -14,4 +14,4 @@
 val name : string
 
 val make : Rfdet_sim.Engine.t -> Rfdet_sim.Engine.policy
-(** Use as [Engine.run ~config Pthreads_runtime.make ~main]. *)
+(** The policy of one engine run ([Runner.make_policy Pthreads]). *)

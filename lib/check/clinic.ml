@@ -1,8 +1,7 @@
 module Engine = Rfdet_sim.Engine
-module Options = Rfdet_core.Options
 module Workload = Rfdet_workloads.Workload
 module Fault_plan = Rfdet_fault.Fault_plan
-module Recover = Rfdet_recover.Recover
+module Runner = Rfdet_harness.Runner
 
 type outcome = Completed | Aborted of string
 
@@ -26,35 +25,33 @@ type summary = {
   nonconformant : int;
 }
 
-(* One RFDet run under the DLRC conformance oracle, with the recovery
-   manager attached when the mode asks for it.  Mid-run divergence under
-   Contain/Recover is itself contained as a thread crash, so conformance
-   is judged by (1) no crash record mentioning Divergence and (2) a
-   final-state [Oracle.check] pass. *)
-let run_rfdet_conformant ~opts ~mode ~plan ~threads ~scale workload =
-  let cfg = { Workload.threads; scale; input_seed = 42L } in
-  let config =
-    {
-      Engine.default_config with
-      seed = 1L;
-      jitter_mean = 0.;
-      failure_mode = mode;
-      inject = Some (Fault_plan.injector plan);
-    }
+(* One run with the crash plan.  An RFDet run under Contain or Recover
+   runs under the DLRC conformance oracle, with the recovery manager
+   attached when the mode asks for it.  Mid-run divergence is then
+   itself contained as a thread crash, so conformance is judged by (1)
+   no crash record mentioning Divergence and (2) a final-state
+   [Oracle.check] pass. *)
+let run_once ~mode ~plan ~threads ~scale runtime workload =
+  let spec =
+    Runner.spec ~threads ~scale ~faults:plan ~failure_mode:mode runtime
+      workload
   in
-  let main = workload.Workload.main cfg in
-  let state_ref = ref None in
-  let maker engine =
-    let state, policy = Oracle.wrap_with_state ~opts engine in
-    state_ref := Some state;
-    match mode with
-    | Engine.Recover ->
-      Recover.manage engine ~sync:(Rfdet_core.Rfdet_runtime.sync state)
-        ~prepare_restart:(Rfdet_core.Rfdet_runtime.crash_recoverable state)
-        ~main policy
-    | Engine.Abort | Engine.Contain -> policy
+  let state = ref None in
+  let hooks =
+    match runtime with
+    | Runner.Rfdet _ when mode <> Engine.Abort ->
+      {
+        Runner.no_hooks with
+        policy =
+          Runner.Rfdet_with
+            (fun opts engine ->
+              let st, policy = Oracle.wrap_with_state ~opts engine in
+              state := Some st;
+              (st, policy));
+      }
+    | _ -> Runner.no_hooks
   in
-  let r = Engine.run ~config maker ~main in
+  let r = Runner.exec ~hooks spec in
   let diverged_inline =
     List.exists
       (fun (_, msg) ->
@@ -66,7 +63,7 @@ let run_rfdet_conformant ~opts ~mode ~plan ~threads ~scale workload =
       r.Engine.crashes
   in
   let final_ok =
-    match !state_ref with
+    match !state with
     | None -> true
     | Some st -> (
       match Oracle.check st with
@@ -75,17 +72,6 @@ let run_rfdet_conformant ~opts ~mode ~plan ~threads ~scale workload =
   in
   (Engine.output_signature r, r.Engine.profile.restarts,
    (not diverged_inline) && final_ok)
-
-let run_once ~mode ~plan ~threads ~scale runtime workload =
-  match runtime with
-  | Rfdet_harness.Runner.Rfdet opts when mode <> Engine.Abort ->
-    run_rfdet_conformant ~opts ~mode ~plan ~threads ~scale workload
-  | _ ->
-    let r =
-      Rfdet_harness.Runner.run ~threads ~scale ~sched_seed:1L ~jitter:0. ~faults:plan
-        ~failure_mode:mode runtime workload
-    in
-    (r.Rfdet_harness.Runner.signature, r.Rfdet_harness.Runner.profile.restarts, true)
 
 (* Inject one crash at global operation index [k] (deterministic at
    jitter 0), run the same configuration twice, and compare.  [op_class]
@@ -99,7 +85,7 @@ let probe ?(op_class = Fault_plan.Any_op) ~mode ~threads ~scale runtime
         action = Fault_plan.Crash } ]
   in
   let attempt () = run_once ~mode ~plan ~threads ~scale runtime workload in
-  let is_rfdet = match runtime with Rfdet_harness.Runner.Rfdet _ -> true | _ -> false in
+  let is_rfdet = match runtime with Runner.Rfdet _ -> true | _ -> false in
   match attempt () with
   | sig1, restarts, ok1 ->
     let deterministic, ok2 =
@@ -108,7 +94,7 @@ let probe ?(op_class = Fault_plan.Any_op) ~mode ~threads ~scale runtime
       | exception _ -> (false, true)
     in
     {
-      runtime = Rfdet_harness.Runner.runtime_name runtime;
+      runtime = Runner.runtime_name runtime;
       mode;
       index;
       outcome = Completed;
@@ -124,7 +110,7 @@ let probe ?(op_class = Fault_plan.Any_op) ~mode ~threads ~scale runtime
       | exception e2 -> String.equal text (Printexc.to_string e2)
     in
     {
-      runtime = Rfdet_harness.Runner.runtime_name runtime;
+      runtime = Runner.runtime_name runtime;
       mode;
       index;
       outcome = Aborted text;
@@ -134,8 +120,8 @@ let probe ?(op_class = Fault_plan.Any_op) ~mode ~threads ~scale runtime
     }
 
 let default_runtimes =
-  [ Rfdet_harness.Runner.Pthreads; Rfdet_harness.Runner.Kendo; Rfdet_harness.Runner.Dthreads; Rfdet_harness.Runner.Coredet;
-    Rfdet_harness.Runner.rfdet_ci ]
+  [ Runner.Pthreads; Runner.Kendo; Runner.Dthreads; Runner.Coredet;
+    Runner.rfdet_ci ]
 
 let sweep ?(op_class = Fault_plan.Any_op) ?(threads = 3) ?(scale = 1.0)
     ?(modes = [ Engine.Contain; Engine.Recover ])
@@ -145,10 +131,10 @@ let sweep ?(op_class = Fault_plan.Any_op) ?(threads = 3) ?(scale = 1.0)
      class count simply probe the clean run (still checked for
      determinism) — cap them with [max_sites] *)
   let clean =
-    Rfdet_harness.Runner.run ~threads ~scale ~sched_seed:1L ~jitter:0. Rfdet_harness.Runner.Pthreads
+    Runner.run ~threads ~scale ~sched_seed:1L ~jitter:0. Runner.Pthreads
       workload
   in
-  let sites = min clean.Rfdet_harness.Runner.ops max_sites in
+  let sites = min clean.Runner.ops max_sites in
   (* Flatten the runtime x mode x site grid in its nesting order; every
      probe is a pure function of its coordinates (both attempts build
      fresh engines), so the cells can be probed on concurrent domains

@@ -1,9 +1,7 @@
 module Engine = Rfdet_sim.Engine
 module Op = Rfdet_sim.Op
 module Options = Rfdet_core.Options
-module Rt = Rfdet_core.Rfdet_runtime
-module Workload = Rfdet_workloads.Workload
-module Registry = Rfdet_workloads.Registry
+module Race = Rfdet_detect.Race_detector
 module Det_rng = Rfdet_util.Det_rng
 module Par = Rfdet_par.Par
 module Runner = Rfdet_harness.Runner
@@ -109,7 +107,7 @@ type mode = M_default | M_random of Det_rng.t
    (= once the segment opened by the last prescribed point closes);
    closing a segment wakes every sleeper whose footprint is dependent
    on it. *)
-let run_once ?policy_override ~(cfg : config) ~(wl : Workload.t)
+let run_once ~(spec : Runner.spec) ~(policy : Runner.policy_hook)
     ~(streams : (int * int, footprint) Hashtbl.t) ~(prescribed : int array)
     ~(birth_sleep : (int * footprint) list) ~(strict : bool) ~(mode : mode)
     ~(prune : bool) () : run =
@@ -212,32 +210,24 @@ let run_once ?policy_override ~(cfg : config) ~(wl : Workload.t)
         chosen
     end
   in
-  let make_policy eng =
+  (* [close_segment] asks the engine whether a thread finished *)
+  let noted make eng =
     engine_ref := Some eng;
-    match policy_override with
-    | Some f -> f eng
-    | None ->
-      if cfg.oracle then Oracle.wrap ~opts:cfg.opts eng
-      else Rt.make ~opts:cfg.opts eng
+    make eng
   in
-  let econfig =
+  let hooks =
     {
-      Engine.default_config with
-      seed = 1L;
-      jitter_mean = 0.;
+      Runner.no_hooks with
       choose = Some choose;
       observe = Some (fun ~tid op -> Hashtbl.replace last_op tid op);
-    }
-  in
-  let wcfg =
-    {
-      Workload.threads = cfg.threads;
-      scale = cfg.scale;
-      input_seed = cfg.input_seed;
+      policy =
+        (match policy with
+        | Runner.Rfdet_with make -> Runner.Rfdet_with (fun o -> noted (make o))
+        | Runner.Policy make -> Runner.Policy (noted make));
     }
   in
   let ro =
-    match Engine.run ~config:econfig make_policy ~main:(wl.Workload.main wcfg) with
+    match Runner.exec ~hooks spec with
     | res -> R_ok (Engine.output_signature res)
     | exception Sleep_blocked -> R_pruned
     | exception Replay_mismatch m -> R_mismatch m
@@ -260,33 +250,33 @@ let failure_of = function
   | R_mismatch m -> Some ("replay mismatch: " ^ m)
   | R_error m -> Some m
 
-(* The header of every trace the explorer writes: [run_once] runs each
-   schedule with scheduler seed 1, no jitter and the engine's default
-   [Abort] failure mode, with no fault plan. *)
-let header (cfg : config) workload =
-  {
-    Trace.workload;
-    threads = cfg.threads;
-    scale = cfg.scale;
-    input_seed = cfg.input_seed;
-    sched_seed = 1L;
-    jitter = 0.;
-    runtime = Runner.cli_name (Runner.Rfdet cfg.opts);
-    fault_mode = Engine.failure_mode_name Engine.Abort;
-    fault_plan = None;
-  }
+(* The one spec every schedule of an exploration runs, and the header of
+   every trace it writes: only the schedule varies, so the scheduler
+   seed, jitter, fault mode and plan are the engine's defaults. *)
+let spec (cfg : config) wl =
+  Runner.spec ~threads:cfg.threads ~scale:cfg.scale ~input_seed:cfg.input_seed
+    ~failure_mode:Engine.Abort (Runner.Rfdet cfg.opts) wl
+
+(* The policy of an exploration: [hook] if given, else the runtime under
+   the oracle, or plain with the oracle off. *)
+let policy_of ?hook ~oracle () =
+  match hook with
+  | Some p -> p
+  | None when oracle ->
+    Runner.Rfdet_with (fun opts -> Oracle.wrap_with_state ~opts)
+  | None -> Runner.no_hooks.Runner.policy
 
 let max_recorded_failures = 100
 
 (* Fold one finished schedule into the reference signature and the
    failure list (the first [max_recorded_failures] failures, newest
    first). *)
-let judge ~cfg ~(wl : Workload.t) ~reference ~failures run =
+let judge ~header ~reference ~failures run =
   let fail reason =
     if List.length !failures < max_recorded_failures then
       let f_trace =
         {
-          Trace.header = header cfg wl.Workload.name;
+          Trace.header;
           choices = choices_of run;
           expect = !reference;
           note = Some reason;
@@ -358,8 +348,11 @@ let expand ~(cfg : config) ~prune ~streams ~(run : run) ~prefix_len ~push =
     List.iter push (List.rev items)
   done
 
-let explore ?(config = default_config) wl =
+let explore ?policy ?(config = default_config) wl =
   let cfg = config in
+  let spec = spec cfg wl in
+  let header = Trace.header_of_spec spec in
+  let policy = policy_of ?hook:policy ~oracle:cfg.oracle () in
   let streams = Hashtbl.create 64 in
   let stack = ref [ { wi_prefix = [||]; wi_birth = [] } ] in
   let schedules = ref 0 in
@@ -378,7 +371,7 @@ let explore ?(config = default_config) wl =
     | item :: rest ->
       stack := rest;
       let run =
-        run_once ~cfg ~wl ~streams ~prescribed:item.wi_prefix
+        run_once ~spec ~policy ~streams ~prescribed:item.wi_prefix
           ~birth_sleep:item.wi_birth ~strict:true ~mode:M_default
           ~prune:cfg.prune ()
       in
@@ -390,7 +383,7 @@ let explore ?(config = default_config) wl =
         (* a strict prefix that fails to replay ([R_mismatch]) means the
            per-thread op streams themselves depended on the schedule —
            nondeterminism *)
-        judge ~cfg ~wl ~reference ~failures run;
+        judge ~header ~reference ~failures run;
         expand ~cfg ~prune:cfg.prune ~streams ~run
           ~prefix_len:(Array.length item.wi_prefix)
           ~push:(fun wi -> stack := wi :: !stack))
@@ -404,13 +397,15 @@ let explore ?(config = default_config) wl =
     failures = List.rev !failures;
   }
 
-let hunt ?(config = default_config) wl =
-  explore ~config:{ config with prune = false } wl
+let hunt ?policy ?(config = default_config) wl =
+  explore ?policy ~config:{ config with prune = false } wl
 
 (* ---------- seeded random sampling ---------- *)
 
 let sample ?(config = default_config) ?(jobs = 1) ~seed ~n wl =
-  let cfg = config in
+  let spec = spec config wl in
+  let header = Trace.header_of_spec spec in
+  let policy = policy_of ~oracle:config.oracle () in
   let schedules = ref 0 in
   let deepest = ref 0 in
   let reference = ref None in
@@ -419,13 +414,13 @@ let sample ?(config = default_config) ?(jobs = 1) ~seed ~n wl =
      each schedule gets its own: a sampled run is a pure function of its
      mode, which is what lets the walks execute on concurrent domains. *)
   let run_of mode =
-    run_once ~cfg ~wl ~streams:(Hashtbl.create 64) ~prescribed:[||]
+    run_once ~spec ~policy ~streams:(Hashtbl.create 64) ~prescribed:[||]
       ~birth_sleep:[] ~strict:true ~mode ~prune:false ()
   in
   let fold run =
     incr schedules;
     deepest := max !deepest (Array.length run.points);
-    judge ~cfg ~wl ~reference ~failures run
+    judge ~header ~reference ~failures run
   in
   (* the default schedule provides the reference signature *)
   fold (run_of M_default);
@@ -455,39 +450,56 @@ type replay_result = {
 
 let detector_runtime = "race-detector"
 
-(* The trace's workload and the options its runtime names.  The explorer
-   varies only the schedule, so a header whose engine settings differ
-   from those [header] writes is rejected, naming the field. *)
+(* The spec a trace's header names, and whether it names the race
+   detector.  The detector and a forced [opts] stand in for the named
+   runtime.  The explorer varies only the schedule, so a header whose
+   other lines differ from those of [spec] is rejected, naming the
+   field. *)
 let resolve ?opts (h : Trace.header) =
-  let fixed = header default_config h.Trace.workload in
-  let differs =
-    List.find_opt snd
-      [
-        ("sched-seed", h.Trace.sched_seed <> fixed.Trace.sched_seed);
-        ("jitter", h.Trace.jitter <> fixed.Trace.jitter);
-        ("fault-mode", h.Trace.fault_mode <> fixed.Trace.fault_mode);
-        ("fault-plan", h.Trace.fault_plan <> fixed.Trace.fault_plan);
-      ]
+  let ( let* ) = Result.bind in
+  let detector = h.Trace.runtime = detector_runtime in
+  let* s =
+    Trace.spec_of_header
+      (if detector || opts <> None then
+         { h with Trace.runtime = Runner.cli_name Runner.rfdet_ci }
+       else h)
   in
-  let runtime = h.Trace.runtime in
-  match (Registry.find h.Trace.workload, differs) with
-  | exception Invalid_argument e -> Error e
-  | _, Some (key, _) ->
+  let* opts =
+    match (opts, s.Runner.runtime) with
+    | Some o, _ | None, Runner.Rfdet o -> Ok o
+    | None, _ ->
+      Error
+        (Printf.sprintf "runtime %S is not an RFDet configuration"
+           h.Trace.runtime)
+  in
+  let fixed =
+    spec
+      { default_config with opts; threads = s.threads; scale = s.scale;
+        input_seed = s.input_seed }
+      s.workload
+  in
+  let lines s =
+    Trace.fields_of_string (Trace.header_to_string (Trace.header_of_spec s))
+  in
+  let ours = lines fixed in
+  match
+    List.find_opt
+      (fun (k, v) -> k <> "runtime" && List.assoc_opt k ours <> Some v)
+      (lines s)
+  with
+  | None -> Ok (fixed, detector)
+  | Some (k, v) ->
     Error
       (Printf.sprintf
-         "trace header sets %s, which the explorer does not vary (it writes \
-          sched-seed 1, jitter 0, fault-mode abort and no fault-plan)"
-         key)
-  | wl, None -> (
-    match (opts, Runner.runtime_of_name runtime) with
-    | _ when runtime = detector_runtime -> Ok (wl, Options.ci)
-    | Some o, _ | None, Some (Runner.Rfdet o) -> Ok (wl, o)
-    | None, Some _ ->
-      Error (Printf.sprintf "runtime %S is not an RFDet configuration" runtime)
-    | None, None -> Error (Printf.sprintf "unknown runtime %S" runtime))
+         "trace header sets %s %s, which the explorer does not vary (it \
+          writes %s)"
+         k v
+         (match List.assoc_opt k ours with
+         | Some v' -> k ^ " " ^ v'
+         | None -> "no " ^ k))
 
 (* A trace whose runtime is the happens-before race detector runs the
-   workload under [Race_detector.make] with the trace's choices
+   workload under [Race_detector] with the trace's choices
    prescribed, and reports the race-set digest as the signature.  The
    detector's synchronization order is Kendo-stamped (icount-based), so
    the digest is schedule-invariant — which is exactly what lets the
@@ -495,31 +507,17 @@ let resolve ?opts (h : Trace.header) =
    still reproduce the race set: the minimal repro for a race under DLRC
    is the workload itself. *)
 let replay ?(strict = true) ?(oracle = true) ?opts (tr : Trace.t) =
-  let h = tr.Trace.header in
-  match resolve ?opts h with
+  match resolve ?opts tr.Trace.header with
   | Error e -> { r_signature = None; r_choices = []; r_error = Some e }
-  | Ok (wl, opts) -> (
-    let detector = h.Trace.runtime = detector_runtime in
-    let report = ref None in
-    let race_detector eng =
-      let policy, rep = Rfdet_detect.Race_detector.make eng in
-      report := Some rep;
-      policy
-    in
-    let cfg =
-      {
-        default_config with
-        opts;
-        threads = h.Trace.threads;
-        scale = h.Trace.scale;
-        input_seed = h.Trace.input_seed;
-        oracle = oracle && not detector;
-      }
+  | Ok (spec, detector) -> (
+    let race = if detector then Some (Race.recorder ()) else None in
+    let policy =
+      match race with
+      | Some (make, _) -> Runner.Policy make
+      | None -> policy_of ~oracle ()
     in
     let run =
-      run_once
-        ?policy_override:(if detector then Some race_detector else None)
-        ~cfg ~wl ~streams:(Hashtbl.create 16)
+      run_once ~spec ~policy ~streams:(Hashtbl.create 16)
         ~prescribed:(Array.of_list tr.Trace.choices) ~birth_sleep:[] ~strict
         ~mode:M_default ~prune:false ()
     in
@@ -527,9 +525,8 @@ let replay ?(strict = true) ?(oracle = true) ?opts (tr : Trace.t) =
     match run.ro with
     | R_ok s ->
       let what, s =
-        match !report with
-        | Some rep ->
-          ("race digest", Rfdet_detect.Race_detector.digest (rep ()))
+        match race with
+        | Some (_, report) -> ("race digest", Race.digest (report ()))
         | None -> ("signature", s)
       in
       let r_error =

@@ -25,7 +25,12 @@
 
     Sampled mode ([sample]) replaces DFS with [n] seeded uniform random
     walks over the same choice points — the fallback for workloads too
-    big to enumerate; same oracle, same signature cross-check. *)
+    big to enumerate; same oracle, same signature cross-check.
+
+    Every schedule runs through [Runner.exec] with the one {!spec} of
+    the exploration (the chooser and an op observer are its hooks), and
+    a failure's trace header is [Trace.header_of_spec] of that same
+    spec, so the two cannot drift. *)
 
 type config = {
   opts : Rfdet_core.Options.t;  (** runtime configuration (default ci) *)
@@ -61,9 +66,24 @@ type stats = {
   failures : failure list;
 }
 
-val explore : ?config:config -> Rfdet_workloads.Workload.t -> stats
+val spec : config -> Rfdet_workloads.Workload.t -> Rfdet_harness.Runner.spec
+(** The spec every explored schedule runs: [config]'s threads, scale,
+    input seed and [Rfdet config.opts], with the engine's defaults for
+    the rest — scheduler seed 1, jitter 0, fault mode [Abort] and no
+    fault plan.  Its header is the header of every trace the explorer
+    writes. *)
+
+val explore :
+  ?policy:Rfdet_harness.Runner.policy_hook ->
+  ?config:config ->
+  Rfdet_workloads.Workload.t ->
+  stats
 (** Bounded-exhaustive DFS.  With the default bounds and a micro
-    workload this enumerates every synchronization interleaving. *)
+    workload this enumerates every synchronization interleaving.
+    [policy] replaces the runtime each schedule runs ([config.opts]
+    under the oracle, or plain when [oracle] is off); an RFDet maker
+    receives [config.opts].  A policy that raises [Oracle.Divergence]
+    fails the schedule like the oracle does. *)
 
 val sample :
   ?config:config ->
@@ -79,16 +99,13 @@ val sample :
     outcomes fold in walk order, so the stats are identical for every
     job count. *)
 
-val hunt : ?config:config -> Rfdet_workloads.Workload.t -> stats
+val hunt :
+  ?policy:Rfdet_harness.Runner.policy_hook ->
+  ?config:config ->
+  Rfdet_workloads.Workload.t ->
+  stats
 (** [explore] with pruning off — complete even against bugs that break
     object-wise commutativity (like [Options.bug_drop_window]). *)
-
-val header : config -> string -> Trace.header
-(** [header config workload] is the header of a trace the explorer
-    writes: [config]'s threads, scale and input seed, the runtime
-    [Runner.cli_name (Rfdet config.opts)], and the engine settings every
-    explored schedule runs under — [sched-seed 1], [jitter 0],
-    [fault-mode abort] and no fault plan. *)
 
 type replay_result = {
   r_signature : string option;  (** [None] when the run died *)
@@ -121,7 +138,7 @@ val replay :
     configuration; [opts] overrides it — the only way to replay under
     [Options.bug_drop_window], which the name does not encode.  A header
     whose [sched-seed], [jitter], [fault-mode] or [fault-plan] differs
-    from what {!header} writes is rejected in [r_error], naming the
+    from the header of {!spec} is rejected in [r_error], naming the
     field.  If the trace carries an [expect] signature, a clean run with
     a different signature is reported in [r_error].  A trace whose
     runtime is [detector_runtime] replays under the race detector

@@ -249,5 +249,3 @@ let wrap_with_state ?opts engine =
     policy.Engine.on_finish ()
   in
   (rt, { policy with Engine.handle; on_thread_exit; on_step; on_finish })
-
-let wrap ?opts engine = snd (wrap_with_state ?opts engine)

@@ -72,8 +72,3 @@ val wrap_with_state :
     [Divergence] raised mid-run surfaces as
     [Engine.Thread_failure (_, Divergence _)] under the default
     [Abort] failure mode. *)
-
-val wrap :
-  ?opts:Rfdet_core.Options.t -> Rfdet_sim.Engine.t -> Rfdet_sim.Engine.policy
-(** [snd (wrap_with_state ...)] — use as
-    [Engine.run ~config (Oracle.wrap ~opts) ~main]. *)

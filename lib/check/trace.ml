@@ -1,3 +1,7 @@
+module Runner = Rfdet_harness.Runner
+module Engine = Rfdet_sim.Engine
+module Fault_plan = Rfdet_fault.Fault_plan
+
 let format_version = 1
 
 type header = {
@@ -82,6 +86,57 @@ let parse_header kvs =
 
 let header_of_string text =
   try Ok (parse_header (fields_of_string text)) with Failure e -> Error e
+
+let header_of_spec (s : Runner.spec) =
+  {
+    workload = s.workload.Rfdet_workloads.Workload.name;
+    threads = s.threads;
+    scale = s.scale;
+    input_seed = s.input_seed;
+    sched_seed = s.sched_seed;
+    jitter = s.jitter;
+    runtime = Runner.cli_name s.runtime;
+    fault_mode = Engine.failure_mode_name s.fault_mode;
+    fault_plan = Option.map Fault_plan.to_string s.faults;
+  }
+
+let spec_of_header h =
+  let ( let* ) = Result.bind in
+  let* workload =
+    match Rfdet_workloads.Registry.find h.workload with
+    | wl -> Ok wl
+    | exception Invalid_argument e -> Error e
+  in
+  let* runtime =
+    match Runner.runtime_of_name h.runtime with
+    | Some r -> Ok r
+    | None -> Error (Printf.sprintf "unknown runtime %S" h.runtime)
+  in
+  let* fault_mode =
+    match List.assoc_opt h.fault_mode Engine.failure_modes with
+    | Some m -> Ok m
+    | None -> Error (Printf.sprintf "unknown fault mode %S" h.fault_mode)
+  in
+  let* faults =
+    match h.fault_plan with
+    | None -> Ok None
+    | Some p -> (
+      match Fault_plan.parse p with
+      | Ok plan -> Ok (Some plan)
+      | Error e -> Error (Printf.sprintf "bad fault plan in header: %s" e))
+  in
+  Ok
+    {
+      Runner.workload;
+      runtime;
+      threads = h.threads;
+      scale = h.scale;
+      input_seed = h.input_seed;
+      sched_seed = h.sched_seed;
+      jitter = h.jitter;
+      fault_mode;
+      faults;
+    }
 
 let to_string t =
   header_to_string t.header

@@ -1,9 +1,12 @@
 (** Run headers and replayable schedule traces.
 
     Under DLRC a run is fully determined by its header — workload,
-    inputs, seeds and runtime — plus the arbiter's free decisions.  This
-    module owns the header's one codec: [key value] lines, floats as hex
-    floats so the round trip is lossless.  A decision journal
+    inputs, seeds, runtime, fault mode and plan — plus the arbiter's free
+    decisions.  A header is the text form of a
+    [Rfdet_harness.Runner.spec], and this module owns the only
+    conversion between the two ({!header_of_spec}, {!spec_of_header})
+    and the header's one codec: [key value] lines, floats as hex floats
+    so the round trip is lossless.  A decision journal
     ([Rfdet_replay.Journal]) stores these lines verbatim as its binary
     ['H'] frame.  A schedule trace is the text form of a journal: the
     same lines, followed by the explorer's choices instead of recorded
@@ -75,6 +78,17 @@ val header_to_string : header -> string
 val header_of_string : string -> (header, string) result
 (** [Error] names the missing or malformed key, or the unsupported
     format.  Keys other than the header's are ignored. *)
+
+(** {1 Headers and specs} *)
+
+val header_of_spec : Rfdet_harness.Runner.spec -> header
+(** The runtime is written as [Runner.cli_name], the fault mode as
+    [Engine.failure_mode_name] and the plan as [Fault_plan.to_string]. *)
+
+val spec_of_header : header -> (Rfdet_harness.Runner.spec, string) result
+(** Fails on unknown workload/runtime names (including
+    [Explore.detector_runtime], which names no [Runner] runtime),
+    unparseable fault plans, or a bad fault-mode word. *)
 
 (** {1 Traces} *)
 

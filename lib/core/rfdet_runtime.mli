@@ -22,7 +22,7 @@
 val name : Options.t -> string
 
 val make : ?opts:Options.t -> Rfdet_sim.Engine.t -> Rfdet_sim.Engine.policy
-(** Use as [Engine.run ~config (Rfdet_runtime.make ~opts) ~main]. *)
+(** The policy of one engine run ([Runner.make_policy (Rfdet opts)]). *)
 
 (** {1 Introspection for tests} *)
 

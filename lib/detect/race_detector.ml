@@ -261,14 +261,11 @@ let digest report =
   Printf.sprintf "%d:%s" (List.length addrs)
     (Digest.to_hex (Digest.string (String.concat "\n" addrs)))
 
-let check ~main =
-  let report = ref None in
-  let (_ : Engine.result) =
-    Engine.run
-      (fun engine ->
-        let policy, rep = make engine in
-        report := Some rep;
-        policy)
-      ~main
+let recorder () =
+  let report = ref (fun () -> invalid_arg "Race_detector.recorder: no run") in
+  let make engine =
+    let policy, rep = make engine in
+    report := rep;
+    policy
   in
-  match !report with Some rep -> rep () | None -> assert false
+  (make, fun () -> !report ())

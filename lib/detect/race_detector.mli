@@ -55,7 +55,8 @@ val digest : report -> string
     the report once the run finishes. *)
 val make : Rfdet_sim.Engine.t -> Rfdet_sim.Engine.policy * (unit -> report)
 
-(** [check ?threads ?scale ?input_seed workload_main] — convenience:
-    run a program to completion under the detector and return the
-    report. *)
-val check : main:(unit -> unit) -> report
+val recorder :
+  unit -> (Rfdet_sim.Engine.t -> Rfdet_sim.Engine.policy) * (unit -> report)
+(** [make] for a caller that builds the policy through a hook: the
+    policy maker for one run, and the report of the run it last made
+    (run it through [Rfdet_harness.Runner.exec] with a [Policy] hook). *)

@@ -47,6 +47,112 @@ let make_policy = function
   | Coredet -> Fence_runtime.make Fence_runtime.coredet
   | Rfdet opts -> Rfdet_core.Rfdet_runtime.make ~opts
 
+type spec = {
+  workload : Workload.t;
+  runtime : runtime;
+  threads : int;
+  scale : float;
+  input_seed : int64;
+  sched_seed : int64;
+  jitter : float;
+  fault_mode : Engine.failure_mode;
+  faults : Rfdet_fault.Fault_plan.t option;
+}
+
+let spec ?(threads = 4) ?(scale = 1.0) ?(input_seed = 42L) ?(sched_seed = 1L)
+    ?(jitter = 0.) ?faults ?(failure_mode = Engine.Contain) runtime workload =
+  {
+    workload;
+    runtime;
+    threads;
+    scale;
+    input_seed;
+    sched_seed;
+    jitter;
+    fault_mode = failure_mode;
+    faults;
+  }
+
+type policy_hook =
+  | Rfdet_with of
+      (Options.t -> Engine.t -> Rfdet_core.Rfdet_runtime.t * Engine.policy)
+  | Policy of (Engine.t -> Engine.policy)
+
+type hooks = {
+  sink : Rfdet_obs.Sink.t;
+  tap : (Engine.decision -> unit) option;
+  choose : (Engine.sched_point -> int) option;
+  observe : (tid:int -> Rfdet_sim.Op.t -> unit) option;
+  policy : policy_hook;
+}
+
+let no_hooks =
+  {
+    sink = Rfdet_obs.Sink.null;
+    tap = None;
+    choose = None;
+    observe = None;
+    policy =
+      Rfdet_with (fun opts -> Rfdet_core.Rfdet_runtime.make_with_state ~opts);
+  }
+
+let exec ?(cost = Rfdet_sim.Cost.default) ?recover_config ?(hooks = no_hooks)
+    s =
+  (* An explicit Recover applies even without a fault plan (deadlock
+     victims need no injector); otherwise the mode only takes effect
+     when a plan is given, so fault-free runs keep the engine default
+     of aborting on failure. *)
+  let failure_mode =
+    match s.faults, s.fault_mode with
+    | _, Engine.Recover -> Engine.Recover
+    | None, _ -> Engine.default_config.failure_mode
+    | Some _, m -> m
+  in
+  let config =
+    {
+      Engine.default_config with
+      cost;
+      seed = s.sched_seed;
+      jitter_mean = s.jitter;
+      failure_mode;
+      (* a fresh injector per run: occurrence counters are mutable *)
+      inject = Option.map Rfdet_fault.Fault_plan.injector s.faults;
+      choose = hooks.choose;
+      sched_tap = hooks.tap;
+      observe = hooks.observe;
+      obs = hooks.sink;
+    }
+  in
+  let main =
+    s.workload.Workload.main
+      {
+        Workload.threads = s.threads;
+        scale = s.scale;
+        input_seed = s.input_seed;
+      }
+  in
+  (* Under Recover, runtimes with a Kendo sync layer get a recovery
+     manager: restartable spawns, lock healing, deadlock victims.  The
+     fence baselines (dthreads, coredet) and pthreads have no
+     per-thread recovery path and run unmanaged. *)
+  let maker engine =
+    let manage = Recover.manage ?config:recover_config engine ~main in
+    match hooks.policy, s.runtime with
+    | Policy make, _ -> make engine
+    | Rfdet_with make, Rfdet opts ->
+      let state, policy = make opts engine in
+      if failure_mode <> Engine.Recover then policy
+      else
+        manage ~sync:(Rfdet_core.Rfdet_runtime.sync state)
+          ~prepare_restart:(Rfdet_core.Rfdet_runtime.crash_recoverable state)
+          policy
+    | Rfdet_with _, Kendo when failure_mode = Engine.Recover ->
+      let sync, policy = Rfdet_baselines.Kendo_runtime.make_with_sync engine in
+      manage ~sync ~prepare_restart:(fun ~tid:_ -> ()) policy
+    | Rfdet_with _, runtime -> make_policy runtime engine
+  in
+  Engine.run ~config maker ~main
+
 type run_result = {
   runtime : string;
   workload : string;
@@ -62,60 +168,13 @@ type run_result = {
   thread_clocks : (int * int) list;
 }
 
-let run ?(threads = 4) ?(scale = 1.0) ?(input_seed = 42L) ?(sched_seed = 1L)
-    ?(jitter = 0.) ?(cost = Rfdet_sim.Cost.default) ?faults
-    ?(failure_mode = Engine.Contain) ?recover_config
-    ?(obs = Rfdet_obs.Sink.null) ?sched_tap runtime workload =
-  let cfg = { Workload.threads; scale; input_seed } in
-  (* An explicit Recover applies even without a fault plan (deadlock
-     victims need no injector); otherwise the mode only takes effect
-     when a plan is given, so fault-free runs keep the engine default
-     of aborting on failure. *)
-  let effective_mode =
-    match faults, failure_mode with
-    | _, Engine.Recover -> Engine.Recover
-    | None, _ -> Engine.default_config.failure_mode
-    | Some _, m -> m
-  in
-  let config =
-    {
-      Engine.default_config with
-      cost;
-      seed = sched_seed;
-      jitter_mean = jitter;
-      failure_mode = effective_mode;
-      (* a fresh injector per run: occurrence counters are mutable *)
-      inject = Option.map Rfdet_fault.Fault_plan.injector faults;
-      sched_tap;
-      obs;
-    }
-  in
-  let main = workload.Workload.main cfg in
-  (* Under Recover, runtimes with a Kendo sync layer get a recovery
-     manager: restartable spawns, lock healing, deadlock victims.  The
-     fence baselines (dthreads, coredet) and pthreads have no
-     per-thread recovery path and run unmanaged. *)
-  let maker engine =
-    let manage = Recover.manage ?config:recover_config engine ~main in
-    match effective_mode, runtime with
-    | Engine.Recover, Rfdet opts ->
-      let state, policy =
-        Rfdet_core.Rfdet_runtime.make_with_state ~opts engine
-      in
-      manage ~sync:(Rfdet_core.Rfdet_runtime.sync state)
-        ~prepare_restart:(Rfdet_core.Rfdet_runtime.crash_recoverable state)
-        policy
-    | Engine.Recover, Kendo ->
-      let sync, policy = Rfdet_baselines.Kendo_runtime.make_with_sync engine in
-      manage ~sync ~prepare_restart:(fun ~tid:_ -> ()) policy
-    | _ -> make_policy runtime engine
-  in
+let run_spec ?cost ?recover_config ?hooks s =
   let t0 = Unix.gettimeofday () in
-  let r = Engine.run ~config maker ~main in
+  let r = exec ?cost ?recover_config ?hooks s in
   let wall_seconds = Unix.gettimeofday () -. t0 in
   {
-    runtime = runtime_name runtime;
-    workload = workload.Workload.name;
+    runtime = runtime_name s.runtime;
+    workload = s.workload.Workload.name;
     sim_time = r.Engine.sim_time;
     wall_seconds;
     signature = Engine.output_signature r;
@@ -127,3 +186,11 @@ let run ?(threads = 4) ?(scale = 1.0) ?(input_seed = 42L) ?(sched_seed = 1L)
     crashes = r.Engine.crashes;
     thread_clocks = r.Engine.thread_clocks;
   }
+
+let run ?threads ?scale ?input_seed ?sched_seed ?jitter ?cost ?faults
+    ?failure_mode ?recover_config ?(obs = Rfdet_obs.Sink.null) ?sched_tap
+    runtime workload =
+  run_spec ?cost ?recover_config
+    ~hooks:{ no_hooks with sink = obs; tap = sched_tap }
+    (spec ?threads ?scale ?input_seed ?sched_seed ?jitter ?faults
+       ?failure_mode runtime workload)

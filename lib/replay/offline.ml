@@ -1,41 +1,46 @@
-module Workload = Rfdet_workloads.Workload
 module Registry = Rfdet_workloads.Registry
 module Race = Rfdet_detect.Race_detector
+module Runner = Rfdet_harness.Runner
 module Trace = Rfdet_check.Trace
 module Explore = Rfdet_check.Explore
 module Shrink = Rfdet_check.Shrink
 
-let detect (h : Journal.header) =
+let run_detector spec =
+  let make, report = Race.recorder () in
+  let hooks = { Runner.no_hooks with policy = Runner.Policy make } in
+  ignore (Runner.exec ~hooks spec);
+  report ()
+
+(* The header's workload and inputs, run as the explorer runs a trace
+   (the detector then replaces the runtime). *)
+let detector_spec (h : Journal.header) =
   match Registry.find h.workload with
   | exception Invalid_argument e -> Error e
   | wl ->
-    let cfg =
-      {
-        Workload.threads = h.threads;
-        scale = h.scale;
-        input_seed = h.input_seed;
-      }
-    in
-    Ok (Race.check ~main:(wl.Workload.main cfg))
+    Ok
+      (Explore.spec
+         {
+           Explore.default_config with
+           threads = h.threads;
+           scale = h.scale;
+           input_seed = h.input_seed;
+         }
+         wl)
+
+let detect h = Result.map run_detector (detector_spec h)
 
 let minimize_repro (h : Journal.header) (report : Race.report) =
-  if report.Race.races = [] then
+  match detector_spec h with
+  | Error e -> Error e
+  | Ok _ when report.Race.races = [] ->
     Error "no races to minimize (the journal's run is race-free)"
-  else begin
+  | Ok spec -> (
     let digest = Race.digest report in
     let base =
-      let cfg =
-        {
-          Explore.default_config with
-          threads = h.threads;
-          scale = h.scale;
-          input_seed = h.input_seed;
-        }
-      in
       {
         Trace.header =
           {
-            (Explore.header cfg h.workload) with
+            (Trace.header_of_spec spec) with
             runtime = Explore.detector_runtime;
           };
         choices = [];
@@ -65,5 +70,4 @@ let minimize_repro (h : Journal.header) (report : Race.report) =
             (List.length probe.Explore.r_choices)
             (List.length minimized.Trace.choices)
         in
-        Ok ({ minimized with Trace.note = Some note }, tries))
-  end
+        Ok ({ minimized with Trace.note = Some note }, tries)))

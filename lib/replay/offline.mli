@@ -12,9 +12,16 @@
     and why the same journal replayed from any of the 6 runtimes yields
     the identical race report. *)
 
+val run_detector :
+  Rfdet_harness.Runner.spec -> Rfdet_detect.Race_detector.report
+(** Run the spec through [Runner.exec] with [Rfdet_detect.Race_detector]
+    as its whole policy (the spec's runtime is not used) and report every
+    racy address. *)
+
 val detect : Journal.header -> (Rfdet_detect.Race_detector.report, string) result
-(** Re-execute the header's workload under
-    [Rfdet_detect.Race_detector] and report every racy address. *)
+(** [run_detector] over the header's workload and inputs, with the
+    engine settings of [Rfdet_check.Explore.spec] (the seeds, jitter and
+    fault plan the header records play no part). *)
 
 val minimize_repro :
   Journal.header ->

@@ -1,12 +1,9 @@
 module Engine = Rfdet_sim.Engine
 module Profile = Rfdet_sim.Profile
 module Runner = Rfdet_harness.Runner
-module Workload = Rfdet_workloads.Workload
-module Registry = Rfdet_workloads.Registry
-module Fault_plan = Rfdet_fault.Fault_plan
 
-type spec = {
-  workload : Workload.t;
+type spec = Runner.spec = {
+  workload : Rfdet_workloads.Workload.t;
   runtime : Runner.runtime;
   threads : int;
   scale : float;
@@ -14,59 +11,8 @@ type spec = {
   sched_seed : int64;
   jitter : float;
   fault_mode : Engine.failure_mode;
-  faults : Fault_plan.t option;
+  faults : Rfdet_fault.Fault_plan.t option;
 }
-
-let header_of_spec (spec : spec) : Journal.header =
-  {
-    Rfdet_check.Trace.workload = spec.workload.Workload.name;
-    threads = spec.threads;
-    scale = spec.scale;
-    input_seed = spec.input_seed;
-    sched_seed = spec.sched_seed;
-    jitter = spec.jitter;
-    runtime = Runner.cli_name spec.runtime;
-    fault_mode = Engine.failure_mode_name spec.fault_mode;
-    fault_plan = Option.map Fault_plan.to_string spec.faults;
-  }
-
-let spec_of_header (h : Journal.header) : (spec, string) result =
-  let ( let* ) = Result.bind in
-  let* workload =
-    match Registry.find h.workload with
-    | wl -> Ok wl
-    | exception Invalid_argument e -> Error e
-  in
-  let* runtime =
-    match Runner.runtime_of_name h.runtime with
-    | Some r -> Ok r
-    | None -> Error (Printf.sprintf "unknown runtime %S" h.runtime)
-  in
-  let* fault_mode =
-    match List.assoc_opt h.fault_mode Engine.failure_modes with
-    | Some m -> Ok m
-    | None -> Error (Printf.sprintf "unknown fault mode %S" h.fault_mode)
-  in
-  let* faults =
-    match h.fault_plan with
-    | None -> Ok None
-    | Some p -> (
-      match Fault_plan.parse p with
-      | Ok plan -> Ok (Some plan)
-      | Error e -> Error (Printf.sprintf "bad fault plan in header: %s" e))
-  in
-  Ok
-    {
-      workload;
-      runtime;
-      threads = h.threads;
-      scale = h.scale;
-      input_seed = h.input_seed;
-      sched_seed = h.sched_seed;
-      jitter = h.jitter;
-      fault_mode;
-      faults;
-    }
 
 type summary = {
   s_signature : string;
@@ -89,12 +35,6 @@ let trailer_of_summary (s : summary) : Journal.trailer =
     profile_fnv = Journal.fnv64 s.s_profile_json;
   }
 
-let run_spec ?sched_tap (spec : spec) =
-  Runner.run ~threads:spec.threads ~scale:spec.scale
-    ~input_seed:spec.input_seed ~sched_seed:spec.sched_seed
-    ~jitter:spec.jitter ?faults:spec.faults ~failure_mode:spec.fault_mode
-    ?sched_tap spec.runtime spec.workload
-
 let summary_of (r : Runner.run_result) ~decisions =
   {
     s_signature = r.Runner.signature;
@@ -106,10 +46,13 @@ let summary_of (r : Runner.run_result) ~decisions =
     s_profile_json = Profile.to_json r.Runner.profile;
   }
 
+let run_tapped tap spec =
+  Runner.run_spec ~hooks:{ Runner.no_hooks with tap = Some tap } spec
+
 let record ~path (spec : spec) =
-  let w = Journal.create ~path (header_of_spec spec) in
+  let w = Journal.create ~path (Rfdet_check.Trace.header_of_spec spec) in
   let tap (d : Engine.decision) = Journal.add w d.Engine.d_chosen in
-  match run_spec ~sched_tap:tap spec with
+  match run_tapped tap spec with
   | r ->
     let summary = summary_of r ~decisions:(Journal.written w) in
     Journal.finish w (trailer_of_summary summary);
@@ -158,7 +101,7 @@ type ok = {
 exception Diverged of int * int * int
 
 let run_verified ~recovered header (decisions : int array) trailer_opt =
-  match spec_of_header header with
+  match Rfdet_check.Trace.spec_of_header header with
   | Error e -> Error (E_bad_header e)
   | Ok spec -> (
     let counter = ref 0 in
@@ -168,7 +111,7 @@ let run_verified ~recovered header (decisions : int array) trailer_opt =
       if i < Array.length decisions && decisions.(i) <> d.Engine.d_chosen then
         raise (Diverged (i, decisions.(i), d.Engine.d_chosen))
     in
-    match run_spec ~sched_tap:tap spec with
+    match run_tapped tap spec with
     | exception Diverged (i, e, g) ->
       Error (E_diverged { index = i; expected = e; got = g })
     | exception Engine.Thread_failure (_, Diverged (i, e, g)) ->

@@ -18,7 +18,7 @@
       decision journal} recorded by [rfdet record], verifying every
       recorded decision — a crash-safe fault-tolerance primitive. *)
 
-type spec = {
+type spec = Rfdet_harness.Runner.spec = {
   workload : Rfdet_workloads.Workload.t;
   runtime : Rfdet_harness.Runner.runtime;
   threads : int;
@@ -29,12 +29,9 @@ type spec = {
   fault_mode : Rfdet_sim.Engine.failure_mode;
   faults : Rfdet_fault.Fault_plan.t option;
 }
-
-val header_of_spec : spec -> Journal.header
-
-val spec_of_header : Journal.header -> (spec, string) result
-(** Fails on unknown workload/runtime names, unparseable fault plans,
-    or a bad fault-mode word. *)
+(** [Runner.spec], under the name the journal API has always used.  The
+    journal's header is [Rfdet_check.Trace.header_of_spec] of it, and a
+    replay runs [Rfdet_check.Trace.spec_of_header] of the header. *)
 
 type summary = {
   s_signature : string;

@@ -10,3 +10,8 @@ type t = {
 }
 
 let scaled cfg n = max 1 (int_of_float (float_of_int n *. cfg.scale))
+
+let reporting ~name ~suite ~description run =
+  let last = ref None in
+  let main cfg () = last := Some (run ~seed:cfg.input_seed) in
+  ({ name; suite; description; main }, fun () -> Option.get !last)

@@ -31,3 +31,14 @@ type t = {
 
 val scaled : cfg -> int -> int
 (** [scaled cfg n] multiplies a base size by [cfg.scale] (min 1). *)
+
+val reporting :
+  name:string ->
+  suite:string ->
+  description:string ->
+  (seed:int64 -> 'r) ->
+  t * (unit -> 'r)
+(** A workload whose program is [run ~seed] on the input seed (its own
+    parameters stand in for threads and scale), and the result of its
+    last run — the last, since recovery may restart the program.  The
+    KV server commands build their server this way. *)

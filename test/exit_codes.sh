@@ -27,6 +27,21 @@ expect() {
   fi
 }
 
+# usage_error WHAT COMMAND...: COMMAND must exit 64 before it prints
+# anything on stdout
+usage_error() {
+  what=$1
+  shift
+  "$@" > "$tmp/out" 2> "$tmp/err"
+  got=$?
+  if [ "$got" -ne 64 ] || [ -s "$tmp/out" ]; then
+    echo "FAIL: $what: exit $got with stdout of $(wc -c < "$tmp/out") \
+bytes, expected 64 with none" >&2
+    cat "$tmp/out" "$tmp/err" >&2
+    status=1
+  fi
+}
+
 journal=$corpus/micro-lock-t2.rfdj
 size=$(wc -c < "$journal")
 head -c $((size - 21)) "$journal" > "$tmp/torn.rfdj"
@@ -59,6 +74,10 @@ expect 64 "a missing journal" \
   "$rfdet" replay "$tmp/missing.rfdj"
 expect 64 "a wildcard-tid fault plan under jitter" \
   "$rfdet" faults micro-lock --fault-plan 'crash,tid=*,op=lock,n=2' -n 2
+usage_error "serve --rw --sweep" \
+  "$rfdet" serve --rw --sweep -n 20
+usage_error "serve --rw --json" \
+  "$rfdet" serve --rw --json "$tmp/serve.json" -n 20
 expect 124 "an unknown option" \
   "$rfdet" run --no-such-option
 

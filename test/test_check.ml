@@ -335,68 +335,56 @@ let agreed label log =
     (label ^ ": checkers agree") [] log.disagreements;
   Alcotest.(check bool) (label ^ ": checked") true (log.checks > 0)
 
-(* Runs [main] once per schedule, branching where the explorer does:
-   when the running thread stops at a boundary, blocks or exits while
-   two or more threads are ready.  Without sleep sets this covers every
-   schedule [Explore.explore] runs.  Returns the number of schedules. *)
-let each_schedule ~main run =
-  let count = ref 0 in
-  let rec go prefix =
-    let arities = ref [] in
-    let choose (sp : Engine.sched_point) =
-      if sp.Engine.sp_last_ready && not sp.Engine.sp_last_boundary then
-        sp.Engine.sp_last
-      else
-        match sp.Engine.sp_ready with
-        | [ only ] -> only
-        | ready ->
-          let i = List.length !arities in
-          arities := List.length ready :: !arities;
-          List.nth ready (if i < Array.length prefix then prefix.(i) else 0)
-    in
-    run { Engine.default_config with Engine.choose = Some choose } main;
-    incr count;
-    let arities = Array.of_list (List.rev !arities) in
-    for j = Array.length prefix to Array.length arities - 1 do
-      for c = 1 to arities.(j) - 1 do
-        go
-          (Array.init (j + 1) (fun i ->
-               if i < Array.length prefix then prefix.(i)
-               else if i = j then c
-               else 0))
-      done
-    done
-  in
-  go [||];
-  !count
-
-(* Returns the number of schedules in which both checkers caught a
-   divergence. *)
+(* Explores every schedule of a micro with both checkers in place of the
+   oracle: [Explore.hunt] (no sleep sets) with the lockstep policy as
+   its hook.  Returns the number of schedules and of schedules in which
+   both checkers caught a divergence. *)
 let lockstep_explore ?(opts = Options.ci) ~threads name =
-  let wl = micro name in
-  let main = wl.Workload.main { Workload.default_cfg with Workload.threads } in
   let label = Printf.sprintf "%s t%d %s" name threads (Options.name opts) in
-  let caught = ref 0 in
-  let schedules =
-    each_schedule ~main (fun config main ->
-        let log = run_lockstep ~config ~opts ~main () in
-        agreed label log;
-        if log.caught <> [] then incr caught)
+  let logs = ref [] in
+  let policy =
+    Rfdet_harness.Runner.Rfdet_with
+      (fun opts engine ->
+        let log = new_log () in
+        logs := log :: !logs;
+        lockstep ~opts log engine)
   in
-  Alcotest.(check bool) (label ^ ": explored") true (schedules > 1);
-  !caught
+  let stats =
+    Explore.hunt ~policy
+      ~config:{ Explore.default_config with Explore.opts; threads }
+      (micro name)
+  in
+  List.iter (agreed label) !logs;
+  Alcotest.(check int)
+    (label ^ ": one run per schedule")
+    stats.Explore.schedules (List.length !logs);
+  let caught = List.filter (fun l -> l.caught <> []) !logs in
+  (stats.Explore.schedules, List.length caught)
 
 let test_lockstep_micros () =
+  (* pinned schedule counts: without sleep sets, [hunt] runs every
+     interleaving of the explorer's choice points *)
+  let schedules =
+    [
+      ("micro-lock", 48); ("micro-handoff", 4); ("micro-barrier", 4);
+      ("micro-atomic", 12); ("micro-rwlock", 24); ("micro-sem", 24);
+      ("micro-steal", 6);
+    ]
+  in
+  let clean name threads n =
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "%s t%d: schedules, caught" name threads)
+      (n, 0)
+      (lockstep_explore ~threads name)
+  in
   List.iter
-    (fun (wl : Workload.t) ->
-      Alcotest.(check int) (wl.name ^ ": clean") 0
-        (lockstep_explore ~threads:2 wl.name))
+    (fun (wl : Workload.t) -> clean wl.name 2 (List.assoc wl.name schedules))
     Registry.micro;
-  Alcotest.(check int) "micro-rwlock t3: clean" 0
-    (lockstep_explore ~threads:3 "micro-rwlock");
+  clean "micro-rwlock" 3 768;
   (* the seeded visibility bug: both checkers must stop the same runs *)
-  Alcotest.(check bool) "drop window caught" true
-    (lockstep_explore ~opts:buggy_opts ~threads:2 "micro-lock" > 0)
+  let n, caught = lockstep_explore ~opts:buggy_opts ~threads:2 "micro-lock" in
+  Alcotest.(check int) "drop window: schedules" 6 n;
+  Alcotest.(check bool) "drop window caught" true (caught > 0)
 
 (* Seeded random walks over the same choice points, at 16 threads. *)
 let test_lockstep_wide () =
@@ -535,9 +523,10 @@ let test_trace_roundtrip () =
     {
       Trace.header =
         {
-          (Explore.header
-             { Explore.default_config with Explore.threads = 3; scale = 0.3 }
-             "micro-lock")
+          (Trace.header_of_spec
+             (Explore.spec
+                { Explore.default_config with Explore.threads = 3; scale = 0.3 }
+                (micro "micro-lock")))
           with
           Trace.input_seed = 99L;
           runtime = "rfdet-pf";
@@ -560,9 +549,10 @@ let test_trace_roundtrip () =
   (* a trace the explorer writes names its runtime as journals do, and
      replays clean *)
   let header =
-    Explore.header
-      { Explore.default_config with Explore.opts = Options.baseline_no_opt }
-      "micro-lock"
+    Trace.header_of_spec
+      (Explore.spec
+         { Explore.default_config with Explore.opts = Options.baseline_no_opt }
+         (micro "micro-lock"))
   in
   Alcotest.(check string)
     "journal runtime name" "rfdet-noopt" header.Trace.runtime;
@@ -661,7 +651,7 @@ let test_oracle_at_scale inputs () =
           let label = Printf.sprintf "%s t%d %s" name threads (Options.name opts) in
           let run make = Engine.run make ~main:(wl.Workload.main cfg) in
           let plain = run (Rt.make ~opts) in
-          match run (Oracle.wrap ~opts) with
+          match run (fun e -> snd (Oracle.wrap_with_state ~opts e)) with
           | wrapped ->
             Alcotest.(check string)
               (label ^ ": signature unchanged by the oracle")

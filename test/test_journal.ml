@@ -131,7 +131,7 @@ let test_changed_input_detected () =
 let test_committed_journal () =
   let path = Filename.concat Test_check.corpus_dir "micro-lock-t2.rfdj" in
   let ok = replay_ok path in
-  match S.spec_of_header ok.S.r_header with
+  match Trace.spec_of_header ok.S.r_header with
   | Error e -> Alcotest.fail e
   | Ok sp ->
     with_temp @@ fun out ->
@@ -205,7 +205,7 @@ let test_abort_leaves_torn () =
      on an escaping exception) must leave a recoverable torn journal,
      never a corrupt or complete-looking one *)
   with_temp @@ fun path ->
-  let w = S.header_of_spec (spec "kvserver" ~threads:4 ~scale:0.1) in
+  let w = Trace.header_of_spec (spec "kvserver" ~threads:4 ~scale:0.1) in
   let writer = J.create ~path w in
   List.iter (J.add writer) [ 1; 2; 1; 3; 0 ];
   J.abort writer;

@@ -6,9 +6,15 @@ module Workload = Rfdet_workloads.Workload
 
 let base = Layout.globals_base
 
+(* Run a program to completion under the detector. *)
+let detect ~main =
+  let make, report = Detector.recorder () in
+  ignore (Rfdet_sim.Engine.run make ~main);
+  report ()
+
 let test_clean_locked_program () =
   let report =
-    Detector.check ~main:(fun () ->
+    detect ~main:(fun () ->
         let m = Api.mutex_create () in
         let body () =
           for _ = 1 to 20 do
@@ -26,7 +32,7 @@ let test_clean_locked_program () =
 
 let test_write_write_race () =
   let report =
-    Detector.check ~main:(fun () ->
+    detect ~main:(fun () ->
         let t1 = Api.spawn (fun () -> Api.store base 1) in
         let t2 = Api.spawn (fun () -> Api.store base 2) in
         Api.join t1;
@@ -39,7 +45,7 @@ let test_write_write_race () =
 
 let test_write_read_race () =
   let report =
-    Detector.check ~main:(fun () ->
+    detect ~main:(fun () ->
         let writer = Api.spawn (fun () -> Api.store base 1) in
         let reader =
           Api.spawn (fun () ->
@@ -54,7 +60,7 @@ let test_write_read_race () =
 
 let test_read_write_race () =
   let report =
-    Detector.check ~main:(fun () ->
+    detect ~main:(fun () ->
         let reader = Api.spawn (fun () -> Api.output_int (Api.load base)) in
         let writer =
           Api.spawn (fun () ->
@@ -73,7 +79,7 @@ let test_fork_join_edges () =
   (* parent write -> child read and child write -> joiner read are
      ordered: no race *)
   let report =
-    Detector.check ~main:(fun () ->
+    detect ~main:(fun () ->
         Api.store base 1;
         let c =
           Api.spawn (fun () ->
@@ -90,7 +96,7 @@ let test_atomics_are_synchronization () =
   (* message passing through an atomic flag: the plain data accesses are
      ordered by the release/acquire pair, so no race *)
   let report =
-    Detector.check ~main:(fun () ->
+    detect ~main:(fun () ->
         let data = base and flag = base + 128 in
         let producer =
           Api.spawn (fun () ->
@@ -113,7 +119,7 @@ let test_atomics_are_synchronization () =
 let test_missing_release_detected () =
   (* same shape but a PLAIN flag store: now the data accesses race *)
   let report =
-    Detector.check ~main:(fun () ->
+    detect ~main:(fun () ->
         let data = base and flag = base + 128 in
         let producer =
           Api.spawn (fun () ->
@@ -136,7 +142,7 @@ let test_missing_release_detected () =
 let test_racey_is_racy () =
   let racey = Registry.find "racey" in
   let cfg = { Workload.default_cfg with scale = 0.2 } in
-  let report = Detector.check ~main:(racey.Workload.main cfg) in
+  let report = detect ~main:(racey.Workload.main cfg) in
   Alcotest.(check bool) "racey has many racy addresses" true
     (report.Detector.racy_addresses > 5)
 
@@ -145,7 +151,7 @@ let test_benchmarks_race_free () =
   let cfg = { Workload.default_cfg with scale = 0.2 } in
   List.iter
     (fun w ->
-      let report = Detector.check ~main:(w.Workload.main cfg) in
+      let report = detect ~main:(w.Workload.main cfg) in
       Alcotest.(check int)
         (w.Workload.name ^ " is race-free")
         0 (List.length report.Detector.races))
