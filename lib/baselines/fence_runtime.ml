@@ -5,6 +5,7 @@ module Space = Rfdet_mem.Space
 module Layout = Rfdet_mem.Layout
 module Page = Rfdet_mem.Page
 module Diff = Rfdet_mem.Diff
+module Twins = Rfdet_mem.Twins
 
 type model = Dthreads | Coredet of { quantum : int }
 
@@ -26,25 +27,32 @@ type pending = { tid : int; arrival : arrival; mods : Diff.t }
 type fstate = {
   space : Space.t;  (* private view of shared region *)
   stack : Space.t;
-  snapshots : (int, bytes) Hashtbl.t;  (* dirty-page twins, this phase *)
-  mutable touch_order : int list;  (* reversed *)
+  twins : Twins.t;  (* dirty-page twins, this phase *)
   mutable quantum_end : int;  (* icount bound for the current round *)
   mutable live : bool;
+  mutable excluded : bool;  (* blocked on a primitive or a join *)
 }
 
+(* The fence fires when every live thread that is not excluded has
+   arrived.  An arrival is live and not excluded (a thread is marked
+   dead or excluded only in its own serial slot, after which it is no
+   longer waiting), so three counts decide it. *)
 type t = {
   model : model;
   engine : Engine.t;
   prims : Fifo_sync.t;
+  pool : Twins.pool;  (* every thread's twin buffers *)
   diffs : Diff.builder;  (* reused by every arrival's commit payload *)
   states : (int, fstate) Hashtbl.t;
   joiners : (int, int list) Hashtbl.t;
   mutable arrived : pending list;  (* reversed arrival order *)
-  excluded : int list ref;  (* blocked on a primitive or a join *)
+  mutable arrivals : int;  (* length of [arrived] *)
+  excluded : int ref;  (* threads whose [excluded] flag is set *)
   mutable live_count : int;
-      (* dirty-page tracking is off while single-threaded, as in
-         DThreads: children inherit memory through fork, so there is
-         nothing to commit until a second thread exists *)
+      (* threads whose [live] flag is set.  Dirty-page tracking is off
+         while single-threaded, as in DThreads: children inherit memory
+         through fork, so there is nothing to commit until a second
+         thread exists *)
 }
 
 let state t tid =
@@ -101,79 +109,81 @@ let add_state t ~tid ~space =
     {
       space;
       stack = Space.create ();
-      snapshots = Hashtbl.create 16;
-      touch_order = [];
+      twins = Twins.create t.pool;
       quantum_end = quantum_end t tid;
       live = true;
+      excluded = false;
     }
 
 (* --- dirty-page tracking (twins, like DThreads) ----------------------- *)
 
+(* Twin each page on its first store of the phase, and widen its window
+   to the offsets every store covers. *)
 let track_store t st addr ~len =
   let c = Engine.cost t.engine in
   let p = Engine.profile t.engine in
   let cycles = ref 0 in
   let copied = ref false in
-  List.iter
-    (fun page ->
-      if t.live_count > 1 && not (Hashtbl.mem st.snapshots page) then begin
-        Hashtbl.replace st.snapshots page (Space.snapshot_page st.space page);
-        st.touch_order <- page :: st.touch_order;
-        if faults_on_first_touch t then begin
-          p.page_faults <- p.page_faults + 1;
-          cycles := !cycles + c.Cost.page_fault
-        end;
-        p.snapshots <- p.snapshots + 1;
-        copied := true;
-        cycles := !cycles + Cost.snapshot_cost c ~bytes:Page.size
-      end)
-    (Page.span ~addr ~len);
+  let stop = addr + len - 1 in
+  let first = Page.id_of_addr addr and last = Page.id_of_addr stop in
+  for page = first to last do
+    let lo = if page = first then Page.offset_of_addr addr else 0 in
+    let hi = if page = last then Page.offset_of_addr stop + 1 else Page.size in
+    if (not (Twins.widen st.twins ~page ~lo ~hi)) && t.live_count > 1 then begin
+      Twins.take st.twins st.space ~page ~lo ~hi;
+      if faults_on_first_touch t then begin
+        p.page_faults <- p.page_faults + 1;
+        cycles := !cycles + c.Cost.page_fault
+      end;
+      p.snapshots <- p.snapshots + 1;
+      copied := true;
+      cycles := !cycles + Cost.snapshot_cost c ~bytes:Page.size
+    end
+  done;
   if !copied then p.stores_with_copy <- p.stores_with_copy + 1;
   !cycles
 
-(* Compute this phase's diffs for a thread (its commit payload). *)
+(* Compute this phase's diffs for a thread (its commit payload).  Each
+   page's scan covers only the words its stores touched but is charged
+   as a full page. *)
 let collect_diffs t ~tid st =
   let c = Engine.cost t.engine in
   let p = Engine.profile t.engine in
   let o = Engine.obs t.engine in
-  let cycles = ref 0 in
-  List.iter
-    (fun page ->
-      let snapshot = Hashtbl.find st.snapshots page in
-      let current = Space.page_bytes st.space page in
-      let diff_cycles = Cost.diff_cost c ~bytes:Page.size in
-      cycles := !cycles + diff_cycles;
-      if counts_diff_scan t then
-        p.diff_bytes_scanned <- p.diff_bytes_scanned + Page.size;
-      Diff.add_page t.diffs ~page_id:page ~snapshot ~current;
-      if Rfdet_obs.Sink.enabled o then
-        Rfdet_obs.Sink.emit o ~tid ~time:(Engine.clock t.engine tid)
-          (Rfdet_obs.Trace.Diff
-             {
-               page;
-               bytes = Diff.last_page_bytes t.diffs;
-               runs = Diff.last_page_runs t.diffs;
-               cycles = diff_cycles;
-             }))
-    (List.rev st.touch_order);
-  Hashtbl.reset st.snapshots;
-  st.touch_order <- [];
-  (Diff.finish t.diffs, !cycles)
+  let diff_cycles = Cost.diff_cost c ~bytes:Page.size in
+  let pages =
+    Twins.diff st.twins st.space t.diffs ~f:(fun page ->
+        if counts_diff_scan t then
+          p.diff_bytes_scanned <- p.diff_bytes_scanned + Page.size;
+        if Rfdet_obs.Sink.enabled o then
+          Rfdet_obs.Sink.emit o ~tid ~time:(Engine.clock t.engine tid)
+            (Rfdet_obs.Trace.Diff
+               {
+                 page;
+                 bytes = Diff.last_page_bytes t.diffs;
+                 runs = Diff.last_page_runs t.diffs;
+                 cycles = diff_cycles;
+               }))
+  in
+  (Diff.finish t.diffs, pages * diff_cycles)
 
 (* --- fence ------------------------------------------------------------ *)
 
-let population t =
-  Hashtbl.fold
-    (fun tid st acc ->
-      if st.live && not (List.mem tid !(t.excluded)) then tid :: acc else acc)
-    t.states []
-
-let exclude t tid = t.excluded := tid :: !(t.excluded)
+let exclude t tid =
+  let (st : fstate) = state t tid in
+  if not st.excluded then begin
+    st.excluded <- true;
+    incr t.excluded
+  end
 
 (* Wake a thread excluded from the fence at the end of the current
    serial slot [at]; the primitive core wakes through this too. *)
-let wake_at_slot_end engine excluded ~tid ~at =
-  excluded := List.filter (fun x -> x <> tid) !excluded;
+let wake_at_slot_end engine states excluded ~tid ~at =
+  (match Hashtbl.find_opt states tid with
+  | Some (st : fstate) when st.excluded ->
+    st.excluded <- false;
+    decr excluded
+  | Some _ | None -> ());
   Engine.wake engine ~tid ~value:0 ~not_before:at
 
 (* Execute one thread's arrival during the serial phase.  [at] is the
@@ -188,7 +198,8 @@ let perform t ~tid ~at = function
     | Some waiting ->
       Hashtbl.remove t.joiners tid;
       List.iter
-        (fun joiner -> wake_at_slot_end t.engine t.excluded ~tid:joiner ~at)
+        (fun joiner ->
+          wake_at_slot_end t.engine t.states t.excluded ~tid:joiner ~at)
         waiting)
   | Quantum v -> Engine.wake t.engine ~tid ~value:v ~not_before:at
   | Sync (Op.Atomic { addr; rmw }) ->
@@ -238,6 +249,7 @@ let run_serial t =
   in
   let order = List.sort (fun a b -> Int.compare a.tid b.tid) t.arrived in
   t.arrived <- [];
+  t.arrivals <- 0;
   let clock = ref (fence_time + c.Cost.barrier_overhead) in
   (* Every arrival stalls at the global fence from its own clock until
      the serial phase opens — the cost RFDet's barrier-free design
@@ -299,19 +311,18 @@ let run_serial t =
       perform t ~tid ~at:!clock arrival)
     order
 
-(* A fence fires when every thread in the population has arrived. *)
-let maybe_fence t =
-  let pop = List.sort Int.compare (population t) in
-  let arr = List.sort Int.compare (List.map (fun a -> a.tid) t.arrived) in
-  match pop with
-  | [] -> ()
-  | _ :: _ -> if List.equal Int.equal pop arr then run_serial t
+(* A fence fires when every live thread that is not excluded has
+   arrived (see [t]). *)
+let ready t = t.arrivals > 0 && t.arrivals = t.live_count - !(t.excluded)
+
+let maybe_fence t = if ready t then run_serial t
 
 (* A thread reaches its next synchronization point. *)
 let arrive t ~tid arrival =
   let mods, cycles = collect_diffs t ~tid (state t tid) in
   Engine.advance t.engine tid (cycles + (Engine.cost t.engine).Cost.sync_op);
-  t.arrived <- { tid; arrival; mods } :: t.arrived
+  t.arrived <- { tid; arrival; mods } :: t.arrived;
+  t.arrivals <- t.arrivals + 1
 
 (* Preempt the thread at the quantum barrier once its instruction
    budget for the round is gone. *)
@@ -373,33 +384,58 @@ let on_finish t =
   p.shared_bytes <- Hashtbl.length pages * Page.size;
   report_footprint t p
 
-let make model engine : Engine.policy =
-  let excluded = ref [] in
+let make_with_state model engine =
+  let states = Hashtbl.create 16 and excluded = ref 0 in
   let t =
     {
       model;
       engine;
       prims =
         Fifo_sync.create ~name:(name model)
-          ~wake:(wake_at_slot_end engine excluded);
+          ~wake:(wake_at_slot_end engine states excluded);
+      pool = Twins.pool ();
       diffs = Diff.builder ();
-      states = Hashtbl.create 16;
+      states;
       joiners = Hashtbl.create 8;
       arrived = [];
+      arrivals = 0;
       excluded;
       live_count = 1;
     }
   in
   add_state t ~tid:0 ~space:(Space.create ());
-  {
-    Engine.policy_name = name model;
-    handle = (fun ~tid op -> handle t ~tid op);
-    on_engine_op = (fun ~tid op outcome -> on_engine_op t ~tid op outcome);
-    on_thread_exit = (fun ~tid -> arrive t ~tid Exit);
-    (* The fence protocol has no per-thread recovery path: a crashed
-       party would stall every survivor at the next fence, so a crash
-       aborts the run (gracefully, as Thread_failure). *)
-    on_thread_crash = Engine.escalate_crash;
-    on_step = (fun () -> maybe_fence t);
-    on_finish = (fun () -> on_finish t);
-  }
+  let policy =
+    {
+      Engine.policy_name = name model;
+      handle = (fun ~tid op -> handle t ~tid op);
+      on_engine_op = (fun ~tid op outcome -> on_engine_op t ~tid op outcome);
+      on_thread_exit = (fun ~tid -> arrive t ~tid Exit);
+      (* The fence protocol has no per-thread recovery path: a crashed
+         party would stall every survivor at the next fence, so a crash
+         aborts the run (gracefully, as Thread_failure). *)
+      on_thread_crash = Engine.escalate_crash;
+      on_step = (fun () -> maybe_fence t);
+      on_finish = (fun () -> on_finish t);
+    }
+  in
+  (t, policy)
+
+let make model engine = snd (make_with_state model engine)
+
+(* --- read-only views (tests) ------------------------------------------ *)
+
+let tids t =
+  List.sort Int.compare (Hashtbl.fold (fun tid _ acc -> tid :: acc) t.states [])
+
+let live t tid = (state t tid).live
+
+let excluded t tid = (state t tid : fstate).excluded
+
+let arrived t = List.rev_map (fun a -> a.tid) t.arrived
+
+let iter_twins t ~f =
+  List.iter
+    (fun tid ->
+      let st = state t tid in
+      f ~tid st.space st.twins)
+    (tids t)

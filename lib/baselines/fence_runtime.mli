@@ -40,3 +40,36 @@ val name : model -> string
 (** ["dthreads"] or ["coredet"]. *)
 
 val make : model -> Rfdet_sim.Engine.t -> Rfdet_sim.Engine.policy
+
+(** {1 Read-only views}
+
+    [make_with_state] also returns the runtime's state, which the views
+    below read without changing it (the lockstep tests drive the fence
+    trigger and the twin windows through them). *)
+
+type t
+
+val make_with_state : model -> Rfdet_sim.Engine.t -> t * Rfdet_sim.Engine.policy
+
+val ready : t -> bool
+(** The fence trigger: some thread has arrived and the arrivals number
+    the live threads less the excluded ones.  The policy's [on_step]
+    runs the serial phase exactly when this holds. *)
+
+val tids : t -> int list
+(** Every thread the runtime has created, ascending (exited ones too). *)
+
+val live : t -> int -> bool
+(** The thread has not yet exited in a serial slot (fence liveness, not
+    [Engine.is_finished]). *)
+
+val excluded : t -> int -> bool
+(** The thread is blocked on a primitive or a join, so the fence does
+    not wait for it. *)
+
+val arrived : t -> int list
+(** Threads waiting at the fence, in arrival order. *)
+
+val iter_twins :
+  t -> f:(tid:int -> Rfdet_mem.Space.t -> Rfdet_mem.Twins.t -> unit) -> unit
+(** Each thread's private view and open twin set, ascending tid. *)

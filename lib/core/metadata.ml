@@ -14,16 +14,7 @@ type t = {
       (* after a GC, do not run again until usage grows past this —
          prevents thrashing when little can be freed (e.g. a parent
          thread sleeping in join pins the frontier) *)
-  mutable free_bufs : bytes list;
-      (* pool of page-sized scratch buffers (snapshots, touch bitmaps):
-         steady-state slicing recycles these instead of allocating a
-         fresh 4 KiB buffer per first-touch store *)
-  mutable free_buf_count : int;
 }
-
-(* Enough for every open snapshot of a heavily-slicing run; beyond this
-   buffers are dropped to the GC rather than hoarded. *)
-let pool_cap = 128
 
 let create ~capacity ~gc_threshold =
   if capacity <= 0 then invalid_arg "Metadata.create: capacity <= 0";
@@ -39,25 +30,7 @@ let create ~capacity ~gc_threshold =
     open_snapshots = 0;
     runs = 0;
     rearm_at = 0;
-    free_bufs = [];
-    free_buf_count = 0;
   }
-
-let alloc_page_buf t =
-  match t.free_bufs with
-  | b :: rest ->
-    t.free_bufs <- rest;
-    t.free_buf_count <- t.free_buf_count - 1;
-    b
-  | [] -> Bytes.create Page.size
-
-let release_page_buf t b =
-  if Bytes.length b <> Page.size then
-    invalid_arg "Metadata.release_page_buf: buffer must be page-sized";
-  if t.free_buf_count < pool_cap then begin
-    t.free_bufs <- b :: t.free_bufs;
-    t.free_buf_count <- t.free_buf_count + 1
-  end
 
 let bump t delta =
   t.usage <- t.usage + delta;

@@ -13,11 +13,13 @@
     minimum of every thread's current vector clock — every thread has
     already merged it.
 
-    Domain safety: each [t] is self-contained — the snapshot-buffer pool
-    it recycles hangs off the instance, not the module — so concurrent
-    simulated runs on different host domains ([Rfdet_par.Par] sweeps)
-    never contend as long as each run creates its own metadata space,
-    which [Rfdet_core.Rfdet_runtime] does. *)
+    The snapshot buffers themselves live in the twin sets
+    ([Rfdet_mem.Twins]); this module only meters them.
+
+    Domain safety: each [t] is self-contained, so concurrent simulated
+    runs on different host domains ([Rfdet_par.Par] sweeps) never
+    contend as long as each run creates its own metadata space, which
+    [Rfdet_core.Rfdet_runtime] does. *)
 
 type t
 
@@ -33,21 +35,11 @@ val add_slice : t -> Slice.t -> unit
 val fresh_slice_id : t -> int
 
 (** [snapshot_taken t] / [snapshot_released t] meter the transient
-    page-snapshot memory of open slices. *)
+    page-snapshot memory of open slices: a full page each, whatever
+    range of the page the slice's stores covered. *)
 val snapshot_taken : t -> unit
 
 val snapshot_released : t -> unit
-
-(** [alloc_page_buf t] hands out a page-sized scratch buffer from the
-    free-list (or allocates one when the pool is empty).  The contents
-    are {e unspecified} — callers must overwrite the whole buffer
-    ([Space.snapshot_page_into] does).  [release_page_buf t b] returns a
-    buffer to the pool; the pool is bounded, so releasing is always
-    safe.  Pooling is a host-side optimization only: metering
-    ([snapshot_taken]/[snapshot_released]) is unchanged. *)
-val alloc_page_buf : t -> bytes
-
-val release_page_buf : t -> bytes -> unit
 
 (** [usage t] — current bytes; [peak t] — high-water mark. *)
 val usage : t -> int

@@ -16,20 +16,23 @@ let lazy_min_bytes = 512
 (* Self-verifying metadata: recompute the slice digest before applying.
    A mismatch means the stored modification bytes were silently damaged
    (Engine.I_corrupt, or a real memory error in a deployment).  The
-   slice is quarantined and re-derived from the publisher's live space;
-   when the publisher has since overwritten those addresses the payload
-   is unrecoverable and the run must fail loudly and deterministically
-   rather than propagate garbage. *)
-let verify ~obs ~at ~cost ~(prof : Profile.t) ~(from : Tstate.t)
+   slice is quarantined and re-derived from its publisher's live space
+   ([publisher s.tid], which need not be the thread the acquire
+   synchronizes with: slices travel transitively); when the publisher
+   has since overwritten those addresses the payload is unrecoverable
+   and the run must fail loudly and deterministically rather than
+   propagate garbage. *)
+let verify ~obs ~at ~cost ~(prof : Profile.t) ~(publisher : int -> Tstate.t)
     ~(into : Tstate.t) (s : Slice.t) =
   let check_cycles = (s.bytes / 8) + 1 in
   if Slice.verify s then check_cycles
   else begin
     prof.corruptions_detected <- prof.corruptions_detected + 1;
     prof.quarantines <- prof.quarantines + 1;
+    let space = (publisher s.tid).shared in
     let data = Bytes.create s.bytes in
     Diff.iter_runs s.mods ~f:(fun ~addr ~off ~len ->
-        Bytes.blit_string (Space.read_string from.shared ~addr ~len) 0 data off len);
+        Bytes.blit_string (Space.read_string space ~addr ~len) 0 data off len);
     let repair_cycles = (s.bytes * cost.Cost.apply_byte) + check_cycles in
     let emit action cycles =
       if Rfdet_obs.Sink.enabled obs then
@@ -89,8 +92,8 @@ let admits ~upper ~lower (s : Slice.t) =
   Vclock.get lower s.tid < s.epoch && s.epoch <= Vclock.get upper s.tid
 
 let run ?(drop = false) ?(obs = Rfdet_obs.Sink.null) ?(at = 0) ~cost
-    ~(opts : Options.t) ~(prof : Profile.t) ~(from : Tstate.t) ~(upto : int)
-    ~(into : Tstate.t) ~upper ~lower () =
+    ~(opts : Options.t) ~(prof : Profile.t) ~publisher ~(from : Tstate.t)
+    ~(upto : int) ~(into : Tstate.t) ~upper ~lower () =
   assert (from.tid <> into.tid);
   let cycles = ref 0 in
   let start = Tstate.resume_index into ~from:from.tid in
@@ -104,7 +107,7 @@ let run ?(drop = false) ?(obs = Rfdet_obs.Sink.null) ?(at = 0) ~cost
                advances, so it is gone for good. *)
             ()
           else begin
-            cycles := !cycles + verify ~obs ~at ~cost ~prof ~from ~into s;
+            cycles := !cycles + verify ~obs ~at ~cost ~prof ~publisher ~into s;
             let apply_cycles =
               if opts.lazy_writes then apply_lazy ~cost ~into s
               else apply_eager ~cost ~into s

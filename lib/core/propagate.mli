@@ -38,6 +38,7 @@ val run :
   cost:Rfdet_sim.Cost.t ->
   opts:Options.t ->
   prof:Rfdet_sim.Profile.t ->
+  publisher:(int -> Tstate.t) ->
   from:Tstate.t ->
   upto:int ->
   into:Tstate.t ->
@@ -60,8 +61,9 @@ val run :
     Each slice selected for application is checksum-verified first
     ([Slice.verify]: the hash runs only while the slice's [verified]
     record is unset, but the check's cycles are charged every time); a
-    corrupted slice is quarantined and
-    re-derived from [from]'s live space (counted in
+    corrupted slice is quarantined and re-derived from its publisher's
+    live space, [(publisher s.tid).shared] — [from] only relays slices
+    that reached it transitively (counted in
     [Profile.quarantines]/[corruptions_detected], traced as [Recovery]
     "quarantine"/"rederive" events), and the run fails with
     [Engine.Fatal] when the re-derived bytes no longer match.

@@ -7,6 +7,7 @@ module Space = Rfdet_mem.Space
 module Layout = Rfdet_mem.Layout
 module Page = Rfdet_mem.Page
 module Diff = Rfdet_mem.Diff
+module Twins = Rfdet_mem.Twins
 module Vclock = Rfdet_util.Vclock
 
 (* The vector-clock width.  Thread ids index clock components, so this
@@ -75,6 +76,9 @@ let obs t = Engine.obs t.engine
 
 let vc_of (ts : Tstate.t) = Vclock.to_array ts.time
 
+(* The state of a slice's publisher, for re-deriving a damaged slice. *)
+let publisher t tid = state t ~tid
+
 (* ------------------------------------------------------------------ *)
 (* Lazy writes: apply a page's queued page segments on first touch.   *)
 (* ------------------------------------------------------------------ *)
@@ -87,9 +91,10 @@ let flush_pending ?(bulk = false) t (ts : Tstate.t) page =
   else begin
     let p = prof t in
     if not bulk then p.page_faults <- p.page_faults + 1;
-    let touched = Metadata.alloc_page_buf t.meta in
+    let pool = Twins.pool_of ts.twins in
+    let touched = Twins.alloc pool in
     let distinct = Tstate.flush_pending ts page ~touched in
-    Metadata.release_page_buf t.meta touched;
+    Twins.release pool touched;
     Space.protect ts.shared page Space.Prot_rw;
     let c = cost t in
     let trap = if bulk then 50 else c.Cost.page_fault in
@@ -121,10 +126,11 @@ let open_slice t (ts : Tstate.t) =
     else 0
 
 (* End the current slice: diff every snapshotted page (first-touch
-   order), release the snapshots, store the modification list stamped
-   with the thread's current clock, and run GC if the metadata space is
-   over threshold.  Returns the simulated cycles spent.  The caller ticks
-   the clock afterwards. *)
+   order; each scan covers only the words the slice's stores touched,
+   but is charged as a full page), release the snapshots, store the
+   modification list stamped with the thread's current clock, and run
+   GC if the metadata space is over threshold.  Returns the simulated
+   cycles spent.  The caller ticks the clock afterwards. *)
 let close_slice t (ts : Tstate.t) =
   let c = cost t in
   let p = prof t in
@@ -132,31 +138,23 @@ let close_slice t (ts : Tstate.t) =
   let tracing = Rfdet_obs.Sink.enabled o in
   let trace_now = if tracing then Engine.clock t.engine ts.tid else 0 in
   let trace_vc = if tracing then vc_of ts else [||] in
-  let cycles = ref c.Cost.slice_overhead in
-  let pages = List.rev ts.touch_order in
-  List.iter
-    (fun page ->
-      let snapshot = Hashtbl.find ts.snapshots page in
-      let current = Space.page_bytes ts.shared page in
-      let diff_cycles = Cost.diff_cost c ~bytes:Page.size in
-      cycles := !cycles + diff_cycles;
-      p.diff_bytes_scanned <- p.diff_bytes_scanned + Page.size;
-      Diff.add_page t.diffs ~page_id:page ~snapshot ~current;
-      if tracing then
-        Rfdet_obs.Sink.emit o ~tid:ts.tid ~time:trace_now ~vc:trace_vc
-          (Rfdet_obs.Trace.Diff
-             {
-               page;
-               bytes = Diff.last_page_bytes t.diffs;
-               runs = Diff.last_page_runs t.diffs;
-               cycles = diff_cycles;
-             });
-      Metadata.snapshot_released t.meta;
-      Metadata.release_page_buf t.meta snapshot)
-    pages;
+  let diff_cycles = Cost.diff_cost c ~bytes:Page.size in
+  let pages =
+    Twins.diff ts.twins ts.shared t.diffs ~f:(fun page ->
+        p.diff_bytes_scanned <- p.diff_bytes_scanned + Page.size;
+        if tracing then
+          Rfdet_obs.Sink.emit o ~tid:ts.tid ~time:trace_now ~vc:trace_vc
+            (Rfdet_obs.Trace.Diff
+               {
+                 page;
+                 bytes = Diff.last_page_bytes t.diffs;
+                 runs = Diff.last_page_runs t.diffs;
+                 cycles = diff_cycles;
+               });
+        Metadata.snapshot_released t.meta)
+  in
+  let cycles = ref (c.Cost.slice_overhead + (pages * diff_cycles)) in
   let mods = Diff.finish t.diffs in
-  Hashtbl.reset ts.snapshots;
-  ts.touch_order <- [];
   let closed_slice_id = ref (-1) in
   if not (Diff.is_empty mods) then begin
     let slice =
@@ -201,7 +199,7 @@ let close_slice t (ts : Tstate.t) =
       (Rfdet_obs.Trace.Slice_close
          {
            slice = !closed_slice_id;
-           pages = List.length pages;
+           pages;
            bytes = Diff.byte_count mods;
            cycles = !cycles;
          });
@@ -257,8 +255,8 @@ let do_acquire t ~tid ~obj ~now =
           let upper = Vclock.copy ts.time in
           Propagate.run ~drop:(bug_drop_active t) ~obs:(obs t) ~at:now
             ~cost:(cost t) ~opts:t.opts ~prof:(prof t)
-            ~from:(state t ~tid:last_tid) ~upto:last_len ~into:ts ~upper
-            ~lower ()
+            ~publisher:(publisher t) ~from:(state t ~tid:last_tid)
+            ~upto:last_len ~into:ts ~upper ~lower ()
     in
     settle_delay t ~tid ~now ~close_cycles ~prop_cycles
 
@@ -288,7 +286,8 @@ let do_barrier t ~tids ~barrier:_ ~now =
           !cycles
           + (let from = state t ~tid in
              Propagate.run ~drop:(bug_drop_active t) ~obs:(obs t) ~at:now
-               ~cost:(cost t) ~opts:t.opts ~prof:(prof t) ~from
+               ~cost:(cost t) ~opts:t.opts ~prof:(prof t)
+               ~publisher:(publisher t) ~from
                ~upto:(Rfdet_util.Vec.length from.Tstate.slices) ~into:leader
                ~upper ~lower ()))
     sorted;
@@ -341,16 +340,12 @@ let do_exited t ~tid =
    the private view, rolling its stores back to the last release point
    (a restart). *)
 let drop_open_slice t (ts : Tstate.t) ~restore =
-  Hashtbl.iter
-    (fun page buf ->
-      if restore then
-        Space.blit_string ts.shared ~addr:(Page.base_of_id page)
-          (Bytes.to_string buf);
-      Metadata.snapshot_released t.meta;
-      Metadata.release_page_buf t.meta buf)
-    ts.snapshots;
-  Hashtbl.reset ts.snapshots;
-  ts.touch_order <- []
+  let dropped =
+    Twins.drop ts.twins ~restore:(if restore then Some ts.shared else None)
+  in
+  for _ = 1 to dropped do
+    Metadata.snapshot_released t.meta
+  done
 
 (* Crash containment (an extension beyond the paper; see DESIGN.md).
    Slice privacy makes this sound and cheap: the thread's stores since
@@ -410,8 +405,9 @@ let do_joined t ~tid ~target ~now =
   let upper = Vclock.copy ts.time in
   let prop_cycles =
     Propagate.run ~drop:(bug_drop_active t) ~obs:(obs t) ~at:now
-      ~cost:(cost t) ~opts:t.opts ~prof:(prof t) ~from:target_state
-      ~upto:target_state.Tstate.exit_len ~into:ts ~upper ~lower ()
+      ~cost:(cost t) ~opts:t.opts ~prof:(prof t) ~publisher:(publisher t)
+      ~from:target_state ~upto:target_state.Tstate.exit_len ~into:ts ~upper
+      ~lower ()
   in
   target_state.joined <- true;
   settle_delay t ~tid ~now ~close_cycles ~prop_cycles
@@ -444,7 +440,8 @@ let do_load t ~tid ~addr ~width =
   | Op.W64 -> Space.load_int space addr
 
 (* Figure 4: the store instrumentation.  First write to a shared page in
-   the current slice snapshots the page into the metadata space. *)
+   the current slice snapshots the page into the metadata space; every
+   write widens the page's twin window to the offsets it covers. *)
 let do_store t ~tid ~addr ~value ~width =
   let c = cost t in
   let p = prof t in
@@ -457,36 +454,37 @@ let do_store t ~tid ~addr ~value ~width =
   end
   else begin
     let extra = ref 0 in
-    let len = match width with Op.W8 -> 1 | Op.W64 -> 8 in
+    let stop = addr + (match width with Op.W8 -> 1 | Op.W64 -> 8) - 1 in
+    let first = Page.id_of_addr addr and last = Page.id_of_addr stop in
     (* Figure 4: "foreach pageid in pagesTouchedBy(addr, len)" — an
        unaligned word store can straddle two pages and both need a
        snapshot, or the second page's bytes vanish from the slice. *)
     let copied = ref false in
-    List.iter
-      (fun page ->
-        if Tstate.has_pending ts page then
-          extra := !extra + flush_pending t ts page;
-        if ts.monitoring && not (Tstate.has_open_snapshot ts page) then begin
-          let buf = Metadata.alloc_page_buf t.meta in
-          Space.snapshot_page_into ts.shared page buf;
-          Tstate.add_snapshot ts page buf;
-          Metadata.snapshot_taken t.meta;
-          p.snapshots <- p.snapshots + 1;
-          copied := true;
-          let snap_cycles = ref (Cost.snapshot_cost c ~bytes:Page.size) in
-          (match t.opts.monitor with
-          | Options.Instrumentation -> ()
-          | Options.Page_fault ->
-            p.page_faults <- p.page_faults + 1;
-            snap_cycles := !snap_cycles + c.Cost.page_fault);
-          extra := !extra + !snap_cycles;
-          let o = obs t in
-          if Rfdet_obs.Sink.enabled o then
-            Rfdet_obs.Sink.emit o ~tid ~time:(Engine.clock t.engine tid)
-              ~vc:(vc_of ts)
-              (Rfdet_obs.Trace.Snapshot { page; cycles = !snap_cycles })
-        end)
-      (Page.span ~addr ~len);
+    for page = first to last do
+      (* the offsets of this page the store covers *)
+      let lo = if page = first then Page.offset_of_addr addr else 0 in
+      let hi = if page = last then Page.offset_of_addr stop + 1 else Page.size in
+      if Tstate.has_pending ts page then
+        extra := !extra + flush_pending t ts page;
+      if ts.monitoring && not (Twins.widen ts.twins ~page ~lo ~hi) then begin
+        Twins.take ts.twins ts.shared ~page ~lo ~hi;
+        Metadata.snapshot_taken t.meta;
+        p.snapshots <- p.snapshots + 1;
+        copied := true;
+        let snap_cycles = ref (Cost.snapshot_cost c ~bytes:Page.size) in
+        (match t.opts.monitor with
+        | Options.Instrumentation -> ()
+        | Options.Page_fault ->
+          p.page_faults <- p.page_faults + 1;
+          snap_cycles := !snap_cycles + c.Cost.page_fault);
+        extra := !extra + !snap_cycles;
+        let o = obs t in
+        if Rfdet_obs.Sink.enabled o then
+          Rfdet_obs.Sink.emit o ~tid ~time:(Engine.clock t.engine tid)
+            ~vc:(vc_of ts)
+            (Rfdet_obs.Trace.Snapshot { page; cycles = !snap_cycles })
+      end
+    done;
     if !copied then p.stores_with_copy <- p.stores_with_copy + 1;
     if ts.monitoring then begin
       match t.opts.monitor with

@@ -1,5 +1,6 @@
 module Space = Rfdet_mem.Space
 module Diff = Rfdet_mem.Diff
+module Twins = Rfdet_mem.Twins
 module Vclock = Rfdet_util.Vclock
 module Vec = Rfdet_util.Vec
 
@@ -10,8 +11,7 @@ type t = {
   time : Vclock.t;
   slices : Slice.t Vec.t;
   resume : (int, int) Hashtbl.t;
-  snapshots : (int, bytes) Hashtbl.t;
-  mutable touch_order : int list;
+  twins : Twins.t;
   lazy_pending : (int, (Diff.t * int) list) Hashtbl.t;
   mutable final_stamp : Vclock.t option;
   mutable exit_len : int;
@@ -27,8 +27,7 @@ let create_root ~clock_size ~monitoring =
     time = Vclock.create clock_size;
     slices = Vec.create ();
     resume = Hashtbl.create 8;
-    snapshots = Hashtbl.create 32;
-    touch_order = [];
+    twins = Twins.create (Twins.pool ());
     lazy_pending = Hashtbl.create 8;
     final_stamp = None;
     exit_len = 0;
@@ -50,8 +49,7 @@ let fork parent ~tid ~stamp =
     time;
     slices = Vec.copy parent.slices;
     resume;
-    snapshots = Hashtbl.create 32;
-    touch_order = [];
+    twins = Twins.sibling parent.twins;
     lazy_pending = Hashtbl.create 8;
     final_stamp = None;
     exit_len = 0;
@@ -68,8 +66,7 @@ let adopt_view ~leader ~follower =
     shared = Space.fork leader.shared;
     slices = Vec.copy leader.slices;
     resume;
-    snapshots = Hashtbl.create 32;
-    touch_order = [];
+    twins = Twins.sibling leader.twins;
     lazy_pending = Hashtbl.create 8;
   }
 
@@ -79,12 +76,6 @@ let resume_index t ~from =
   Option.value (Hashtbl.find_opt t.resume from) ~default:0
 
 let set_resume_index t ~from idx = Hashtbl.replace t.resume from idx
-
-let has_open_snapshot t page = Hashtbl.mem t.snapshots page
-
-let add_snapshot t page data =
-  Hashtbl.replace t.snapshots page data;
-  t.touch_order <- page :: t.touch_order
 
 let has_pending t page = Hashtbl.mem t.lazy_pending page
 

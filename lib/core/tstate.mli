@@ -6,8 +6,9 @@
     its parent, Section 4.1 "Thread Create"), [slices] is the
     *slice pointers* list of Section 4.3 — every closed slice known to
     happen-before this thread's program counter, in happens-before-
-    compatible order — and [snapshots] holds the first-touch page
-    snapshots of the currently open slice (Figure 4).
+    compatible order — and [twins] holds the first-touch page snapshots
+    of the currently open slice and the range its stores covered on each
+    page (Figure 4).
 
     [resume] implements an incremental version of Figure 5's scan: for
     each remote thread X it records how far into X's (append-only)
@@ -23,8 +24,7 @@ type t = {
   time : Rfdet_util.Vclock.t;  (** current vector clock, mutated in place *)
   slices : Slice.t Rfdet_util.Vec.t;
   resume : (int, int) Hashtbl.t;  (** remote tid -> scan resume index *)
-  snapshots : (int, bytes) Hashtbl.t;  (** open slice: page id -> snapshot *)
-  mutable touch_order : int list;  (** reversed first-touch page order *)
+  twins : Rfdet_mem.Twins.t;  (** the open slice's page snapshots *)
   lazy_pending : (int, (Rfdet_mem.Diff.t * int) list) Hashtbl.t;
       (** page id -> unapplied propagated page segments (diff, segment
           index), reversed arrival order *)
@@ -35,7 +35,8 @@ type t = {
 }
 
 (** [create_root ~clock_size ~monitoring] — thread 0's state with a fresh
-    shared space. *)
+    shared space and a fresh twin-buffer pool, which every state forked
+    or re-seeded from it shares. *)
 val create_root : clock_size:int -> monitoring:bool -> t
 
 (** [fork parent ~tid ~stamp] — child state at thread creation: shared
@@ -59,12 +60,6 @@ val append_slice : t -> Slice.t -> unit
 val resume_index : t -> from:int -> int
 
 val set_resume_index : t -> from:int -> int -> unit
-
-(** [has_open_snapshot t page] / [add_snapshot t page data] — Figure 4's
-    hasPageSnapshot / addPageSnapshot. *)
-val has_open_snapshot : t -> int -> bool
-
-val add_snapshot : t -> int -> bytes -> unit
 
 val has_pending : t -> int -> bool
 

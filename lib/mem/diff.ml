@@ -118,14 +118,17 @@ let diff_page_bytewise ~page_id ~snapshot ~current =
 (* Fast path: compare 8 bytes per step, with a 32-byte unrolled stride
    while no run is open.  Equal words are skipped with a single 64-bit
    load per buffer; only mismatching words are refined byte-by-byte, so
-   run boundaries land exactly where the bytewise scan puts them.
-   Requires [Page.size] to be a multiple of 8 (it is 4096).  The
-   refinement loop uses [unsafe_get] — indices stay within the length
-   check performed on entry.  Each run's bytes go straight into the
-   builder's buffer. *)
-let add_page b ~page_id ~snapshot ~current =
+   run boundaries land exactly where the bytewise scan puts them.  The
+   scan covers the word-aligned window [lo, hi) only; a run still open
+   at [hi] ends there, as it does at the page end.  Requires [Page.size]
+   to be a multiple of 8 (it is 4096).  The refinement loop uses
+   [unsafe_get] — indices stay within the checks performed on entry.
+   Each run's bytes go straight into the builder's buffer. *)
+let add_window b ~page_id ~snapshot ~current ~lo ~hi =
   if Bytes.length snapshot <> Page.size || Bytes.length current <> Page.size
   then invalid_arg "Diff.diff_page: buffers must be page-sized";
+  if lo < 0 || hi > Page.size || lo > hi || lo land 7 <> 0 || hi land 7 <> 0
+  then invalid_arg "Diff.add_window: the window must be word-aligned and on the page";
   let base = Page.base_of_id page_id in
   let first = run_total b and used0 = b.used in
   let run_start = ref (-1) in
@@ -136,11 +139,11 @@ let add_page b ~page_id ~snapshot ~current =
       run_start := -1
     end
   in
-  let o = ref 0 in
-  while !o < Page.size do
+  let o = ref lo in
+  while !o < hi do
     if
       !run_start < 0
-      && !o + 32 <= Page.size
+      && !o + 32 <= hi
       && Bytes.get_int64_le snapshot !o = Bytes.get_int64_le current !o
       && Bytes.get_int64_le snapshot (!o + 8) = Bytes.get_int64_le current (!o + 8)
       && Bytes.get_int64_le snapshot (!o + 16)
@@ -164,8 +167,11 @@ let add_page b ~page_id ~snapshot ~current =
       o := !o + 8
     end
   done;
-  if !run_start >= 0 then close Page.size;
+  if !run_start >= 0 then close hi;
   end_segment b ~page_id ~first ~used0
+
+let add_page b ~page_id ~snapshot ~current =
+  add_window b ~page_id ~snapshot ~current ~lo:0 ~hi:Page.size
 
 let reset b =
   b.used <- 0;

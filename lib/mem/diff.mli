@@ -51,6 +51,15 @@ val builder : unit -> builder
     overwhelmingly common case — cost one word load per 8 bytes. *)
 val add_page : builder -> page_id:int -> snapshot:bytes -> current:bytes -> unit
 
+(** [add_window b ~page_id ~snapshot ~current ~lo ~hi] is [add_page]
+    restricted to the page offsets [lo, hi): it appends the runs that
+    lie inside the window, so when the images agree outside it, it
+    appends exactly what [add_page] would ([Twins.diff], the release
+    paths' scan).  [lo] and [hi] must be multiples of 8 with
+    [0 <= lo <= hi <= Page.size]; [Invalid_argument] otherwise. *)
+val add_window :
+  builder -> page_id:int -> snapshot:bytes -> current:bytes -> lo:int -> hi:int -> unit
+
 val last_page_runs : builder -> int
 (** Runs the latest [add_page] appended (0 for an unchanged page). *)
 

@@ -163,11 +163,6 @@ let read_string t ~addr ~len =
 
 let zero_page = Bytes.make Page.size '\000'
 
-let snapshot_page t id =
-  match find_mapping t id with
-  | None -> Bytes.copy zero_page
-  | Some m -> Bytes.copy m.frame.data
-
 let snapshot_page_into t id buf =
   if Bytes.length buf <> Page.size then
     invalid_arg "Space.snapshot_page_into: buffer must be page-sized";

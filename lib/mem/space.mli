@@ -60,15 +60,11 @@ val blit_string : t -> addr:int -> string -> unit
     page-segment blit at a time (unmapped pages read as zeros). *)
 val read_string : t -> addr:int -> len:int -> string
 
-(** [snapshot_page t page_id] returns a private copy of the current
-    contents of a page (zero page if untouched). *)
-val snapshot_page : t -> int -> bytes
-
 (** [snapshot_page_into t page_id buf] copies the page's current
     contents into the caller's page-sized buffer (zero-fills when
-    unmapped) — the allocation-free variant of [snapshot_page] used with
-    [Metadata]'s buffer pool.  Raises [Invalid_argument] if [buf] is not
-    page-sized. *)
+    unmapped): a private copy that later writes to the page leave
+    alone.  [Twins.take] fills its pooled buffers this way.  Raises
+    [Invalid_argument] if [buf] is not page-sized. *)
 val snapshot_page_into : t -> int -> bytes -> unit
 
 (** [page_bytes t page_id] returns the live page contents for read-only

@@ -27,6 +27,10 @@ type t = {
   mutable slices_propagated : int;
   mutable bytes_propagated : int;
   mutable diff_bytes_scanned : int;
+      (** the simulated diff scan: a full page per twin diffed at a
+          release (RFDet's slice close; DThreads' commit, which CoreDet
+          does not count), whatever part of the page the host actually
+          scans ([Twins.diff] scans only the words the stores covered) *)
   mutable gc_runs : int;  (** Table 1 last column *)
   mutable gc_slices_freed : int;
   mutable kendo_waits : int;  (** sync ops that had to wait for their turn *)

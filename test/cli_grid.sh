@@ -44,6 +44,18 @@ show run prodcons -r rfdet-pf -t 3 -s 0.2 --seed 3 --input-seed 9 --jitter 2 \
 show trace prodcons -r rfdet-noopt -t 3 -s 0.2 --seed 5 --input-seed 7 \
   --format lines -o trace.lines --ring 4000 --filter-kind lock_acquire,span
 file trace.lines
+# Unfiltered traces pin every Snapshot, Diff, Prop_page and Propagate
+# event of both release paths: RFDet's slice close and the fence
+# runtimes' commits.
+show trace kvserver -r rfdet-ci -t 3 -s 0.2 --seed 5 --input-seed 7 \
+  --format lines -o kv-ci.lines
+file kv-ci.lines
+show trace prodcons -r dthreads -t 3 -s 0.5 --seed 5 --input-seed 7 \
+  --format lines -o pc-dthreads.lines
+file pc-dthreads.lines
+show trace prodcons -r coredet -t 3 -s 0.5 --seed 5 --input-seed 7 \
+  --format lines -o pc-coredet.lines
+file pc-coredet.lines
 show profile micro-barrier -r dthreads -t 3 -s 0.5 --seed 5 --input-seed 7 \
   --top 3 --metrics-json metrics.json
 file metrics.json

@@ -138,7 +138,7 @@ let test_propagate_filters () =
   let s_new = mk 2 [ 0; 9; 0; 0 ] "C" in
   let prof = Rfdet_sim.Profile.create () in
   let cycles =
-    Propagate.run ~cost:Rfdet_sim.Cost.default
+    Propagate.run ~cost:Rfdet_sim.Cost.default ~publisher:(fun _ -> from)
       ~opts:{ Options.ci with lazy_writes = false }
       ~prof ~from ~upto:3 ~into
       ~upper:(vc [ 1; 3; 0; 0 ]) (* sees s_old, s_mid, not s_new *)
@@ -159,7 +159,7 @@ let test_propagate_filters () =
   Alcotest.(check int) "resume index" 3 (Tstate.resume_index into ~from:1);
   let prof2 = Rfdet_sim.Profile.create () in
   let _ =
-    Propagate.run ~cost:Rfdet_sim.Cost.default
+    Propagate.run ~cost:Rfdet_sim.Cost.default ~publisher:(fun _ -> from)
       ~opts:{ Options.ci with lazy_writes = false }
       ~prof:prof2 ~from ~upto:3 ~into ~upper:(vc [ 9; 9; 9; 9 ])
       ~lower:(vc [ 0; 0; 0; 0 ]) ()
@@ -175,7 +175,7 @@ let test_propagate_skips_freed () =
   Slice.free s;
   let prof = Rfdet_sim.Profile.create () in
   let _ =
-    Propagate.run ~cost:Rfdet_sim.Cost.default
+    Propagate.run ~cost:Rfdet_sim.Cost.default ~publisher:(fun _ -> from)
       ~opts:{ Options.ci with lazy_writes = false }
       ~prof ~from ~upto:1 ~into ~upper:(vc [ 9; 9; 9; 9 ])
       ~lower:(vc [ 0; 0; 0; 0 ]) ()
@@ -191,8 +191,9 @@ let test_propagate_lazy_defers_large () =
   Tstate.append_slice from s;
   let prof = Rfdet_sim.Profile.create () in
   let _ =
-    Propagate.run ~cost:Rfdet_sim.Cost.default ~opts:Options.ci ~prof ~from
-      ~upto:1 ~into ~upper:(vc [ 9; 9; 9; 9 ]) ~lower:(vc [ 0; 0; 0; 0 ]) ()
+    Propagate.run ~cost:Rfdet_sim.Cost.default ~publisher:(fun _ -> from)
+      ~opts:Options.ci ~prof ~from ~upto:1 ~into ~upper:(vc [ 9; 9; 9; 9 ])
+      ~lower:(vc [ 0; 0; 0; 0 ]) ()
   in
   Alcotest.(check bool) "page pending" true (Tstate.has_pending into 5);
   Alcotest.(check bool) "bytes not yet applied" true
@@ -212,8 +213,9 @@ let test_queued_segment_keeps_bytes () =
       Tstate.append_slice from s;
       let prof = Rfdet_sim.Profile.create () in
       let _ =
-        Propagate.run ~cost:Rfdet_sim.Cost.default ~opts:Options.ci ~prof ~from
-          ~upto:1 ~into ~upper:(vc [ 9; 9; 9; 9 ]) ~lower:(vc [ 0; 0; 0; 0 ]) ()
+        Propagate.run ~cost:Rfdet_sim.Cost.default ~publisher:(fun _ -> from)
+          ~opts:Options.ci ~prof ~from ~upto:1 ~into ~upper:(vc [ 9; 9; 9; 9 ])
+      ~lower:(vc [ 0; 0; 0; 0 ]) ()
       in
       Alcotest.(check bool) (what ^ ": queued") true (Tstate.has_pending into 5);
       damage s;
@@ -242,7 +244,7 @@ let test_verify_once_record () =
     let into = mk_state tid in
     let prof = Rfdet_sim.Profile.create () in
     let _ =
-      Propagate.run ~cost:Rfdet_sim.Cost.default
+      Propagate.run ~cost:Rfdet_sim.Cost.default ~publisher:(fun _ -> from)
         ~opts:{ Options.ci with lazy_writes = false }
         ~prof ~from ~upto:1 ~into ~upper:(vc [ 9; 9; 9; 9 ])
         ~lower:(vc [ 0; 0; 0; 0 ]) ()

@@ -328,10 +328,15 @@ let test_corruption_unrecoverable () =
 
 (* The writer's slice reaches [first], which verifies it, and is then
    corrupted before [second] receives it (through [first]'s list), so
-   [second]'s application must hash it again.  With [overwrite], both
-   the writer and [first] store over the word after the publish, so no
-   space still holds the published bytes and re-derivation fails. *)
+   [second]'s application must hash it again and re-derive it from the
+   writer's space.  [overwrite] names who stores over the word after the
+   publish: when only [first] does, the writer still holds the published
+   bytes; when the writer does too, nothing can re-derive the slice. *)
+type overwrite = Nobody | First | Writer_and_first
+
 let after_first_application_main ~overwrite () =
+  let writer_overwrites = overwrite = Writer_and_first in
+  let first_overwrites = overwrite <> Nobody in
   let m = Api.mutex_create () in
   let cell = Api.malloc 8 in
   let writer =
@@ -342,7 +347,7 @@ let after_first_application_main ~overwrite () =
         Api.tick 3_000;
         (* the corruption is injected at this tick *)
         Api.tick 50;
-        if overwrite then Api.store cell 888;
+        if writer_overwrites then Api.store cell 888;
         Api.tick 10_000)
   in
   let first =
@@ -350,7 +355,7 @@ let after_first_application_main ~overwrite () =
         Api.tick 1_000;
         Api.lock m;
         Api.output_int (Api.load cell);
-        if overwrite then Api.store cell 888;
+        if first_overwrites then Api.store cell 888;
         Api.unlock m)
   in
   let second =
@@ -367,13 +372,13 @@ let after_first_application_main ~overwrite () =
 let test_corruption_after_first_application () =
   let faults = plan "corrupt,tid=1,op=compute,n=2" in
   let clean =
-    run (workload "after-first" (after_first_application_main ~overwrite:false))
+    run (workload "after-first" (after_first_application_main ~overwrite:Nobody))
   in
   Alcotest.(check int) "clean: nothing detected" 0
     clean.Runner.profile.Profile.corruptions_detected;
   let r =
     run ~faults
-      (workload "after-first" (after_first_application_main ~overwrite:false))
+      (workload "after-first" (after_first_application_main ~overwrite:Nobody))
   in
   Alcotest.(check int) "caught at the second application" 1
     r.Runner.profile.Profile.quarantines;
@@ -382,10 +387,23 @@ let test_corruption_after_first_application () =
   Alcotest.(check (list (pair int int64))) "both readers see the value"
     [ (2, 777L); (3, 777L) ]
     (List.sort compare r.Runner.outputs);
+  (* [first] no longer holds 777, but the writer, the slice's publisher,
+     does: the slice is re-derived from the writer's space, and [second]
+     then applies [first]'s own slice on top. *)
+  let r =
+    run ~faults
+      (workload "after-first-first-overwrote"
+         (after_first_application_main ~overwrite:First))
+  in
+  Alcotest.(check int) "first overwrote: quarantined once" 1
+    r.Runner.profile.Profile.quarantines;
+  Alcotest.(check (list (pair int int64))) "first overwrote: re-derived"
+    [ (2, 777L); (3, 888L) ]
+    (List.sort compare r.Runner.outputs);
   match
     run ~faults
       (workload "after-first-overwritten"
-         (after_first_application_main ~overwrite:true))
+         (after_first_application_main ~overwrite:Writer_and_first))
   with
   | _ -> Alcotest.fail "expected Engine.Fatal"
   | exception Engine.Fatal (Failure msg) ->

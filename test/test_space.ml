@@ -71,7 +71,8 @@ let test_string_roundtrip () =
 let test_snapshot_isolated () =
   let s = Space.create () in
   Space.store_byte s 10 1;
-  let snap = Space.snapshot_page s 0 in
+  let snap = Bytes.create Page.size in
+  Space.snapshot_page_into s 0 snap;
   Space.store_byte s 10 2;
   Alcotest.(check char) "snapshot frozen" '\001' (Bytes.get snap 10);
   Alcotest.(check int) "live updated" 2 (Space.load_byte s 10)
